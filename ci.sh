@@ -4,7 +4,8 @@
 # a non-zero exit code. Every run writes CI_SUMMARY.json with per-step
 # timings and pass/fail, even when a step fails.
 #
-#   ./ci.sh               # full gate (build, tests, lint, bench + gate)
+#   ./ci.sh               # full gate (build, tests, perfbench build +
+#                         # tests, lint, bench + gate)
 #   ./ci.sh quick         # release build + tuning experiments + soak
 #                         # + concurrency audit -> target/ci/BENCH_*.json
 #                         # and AUDIT_concurrency.json, gated vs committed
@@ -195,6 +196,8 @@ full)
     step "cargo fmt --check" cargo fmt --all --check
     step "cargo build --release" cargo build --workspace --release
     step "cargo test" cargo test -q --workspace
+    step "perfbench build" cargo build --release --manifest-path perfbench/Cargo.toml
+    step "perfbench test" cargo test -q --manifest-path perfbench/Cargo.toml
     fresh_bench_and_gate
     step "smdb-lint" cargo run -q -p smdb-lint
     step "smdb-lint --audit-lp" cargo run -q -p smdb-lint -- --audit-lp

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use smdb_bench::report;
+use smdb_bench::{parse_num, report};
 use smdb_common::Cost;
 use smdb_core::{DurabilityConfig, DurabilityManager};
 use smdb_durable::{DirPersistence, MemPersistence, Persistence};
@@ -87,16 +87,6 @@ fn parse_args() -> Args {
         }
     }
     parsed
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, name: &str) -> T {
-    match value.parse() {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("{name}: invalid number {value}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn fixture(args: &Args) -> (Arc<Database>, Vec<BucketPlan>) {

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use smdb_bench::report;
+use smdb_bench::{parse_num, report};
 use smdb_common::Cost;
 use smdb_runtime::{events_database, generate, FaultPlan, Runtime, RuntimeConfig, StreamConfig};
 
@@ -76,16 +76,6 @@ fn parse_args() -> Args {
         }
     }
     parsed
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, name: &str) -> T {
-    match value.parse() {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("{name}: invalid number {value}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn main() {

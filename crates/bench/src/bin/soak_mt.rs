@@ -19,7 +19,7 @@
 //! decision trail (per-shard tuning + global `budget_rebalanced`
 //! events).
 
-use smdb_bench::report;
+use smdb_bench::{parse_num, report};
 use smdb_query::result_hash;
 use smdb_runtime::{MtSoakConfig, MtSoakOutcome, ShardedRuntime};
 use smdb_shard::{build_sharded, MultiTenantConfig, ShardSpec, TenantQuery};
@@ -84,16 +84,6 @@ fn parse_args() -> Args {
         std::process::exit(2);
     }
     parsed
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, name: &str) -> T {
-    match value.parse() {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("{name}: invalid number {value}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// The noisy-neighbor probe: among *quiet* tenants (at or below the

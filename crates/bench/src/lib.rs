@@ -14,3 +14,16 @@ pub mod table;
 
 pub use setup::*;
 pub use table::TableBuilder;
+
+/// Parses a numeric command-line value for the bench binaries; an
+/// invalid number prints `{name}: invalid number {value}` and exits
+/// with status 2.
+pub fn parse_num<T: std::str::FromStr>(value: &str, name: &str) -> T {
+    match value.parse() {
+        Ok(v) => v,
+        Err(_) => {
+            eprintln!("{name}: invalid number {value}");
+            std::process::exit(2);
+        }
+    }
+}

@@ -98,6 +98,23 @@ pub struct RollbackReport {
     pub reconfiguration_cost: Cost,
 }
 
+/// What barrier drains did: actions applied and failed slices rolled
+/// back. Tallies add, so a runtime sums them over a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrainTally {
+    /// Actions applied.
+    pub applied: u64,
+    /// Failed slices rolled back (each one also paused tuning).
+    pub rollbacks: u64,
+}
+
+impl std::ops::AddAssign for DrainTally {
+    fn add_assign(&mut self, other: DrainTally) {
+        self.applied += other.applied;
+        self.rollbacks += other.rollbacks;
+    }
+}
+
 /// Point-in-time snapshot of the driver's tuning machinery, safe to take
 /// from any thread while serving continues.
 #[derive(Debug, Clone, PartialEq)]
@@ -455,6 +472,53 @@ impl Driver {
             }
         }
         Ok(report.applied)
+    }
+
+    /// One bucket-barrier drain under the failed-apply policy — the one
+    /// owner of that policy for every serving loop. No-op while tuning
+    /// is paused or nothing is queued. Otherwise drains one `budget`
+    /// slice at a fresh [`TuningTick`]; when the apply fails, restores
+    /// the last good instance ([`Driver::rollback_to_last_good`]) and
+    /// pauses tuning. Serving never stops: only a failed rollback is an
+    /// error.
+    pub fn drain_or_rollback(&self, budget: usize) -> Result<DrainTally> {
+        if self.organizer.is_paused() || self.pending_actions() == 0 {
+            return Ok(DrainTally::default());
+        }
+        let _span = span!("driver", "barrier_drain");
+        let tick = self.tick();
+        match self.drain_pending_slice_at(&tick, budget) {
+            Ok(n) => Ok(DrainTally {
+                applied: n as u64,
+                rollbacks: 0,
+            }),
+            Err(cause) => {
+                // The failed apply left the engine mid-reconfiguration.
+                self.rollback_to_last_good(&cause.to_string())?;
+                self.organizer.pause();
+                Ok(DrainTally {
+                    applied: 0,
+                    rollbacks: 1,
+                })
+            }
+        }
+    }
+
+    /// Post-run settle: idle buckets drain whatever is still queued so a
+    /// run ends with a settled configuration. Each of at most `max_ticks`
+    /// ticks closes a bucket, resumes a paused organizer and takes one
+    /// [`Driver::drain_or_rollback`] step; stops once the queue is empty.
+    pub fn settle(&self, budget: usize, max_ticks: usize) -> Result<DrainTally> {
+        let mut tally = DrainTally::default();
+        for _ in 0..max_ticks {
+            if self.pending_actions() == 0 {
+                break;
+            }
+            self.close_bucket();
+            self.organizer.resume();
+            tally += self.drain_or_rollback(budget)?;
+        }
+        Ok(tally)
     }
 
     /// Number of actions currently deferred by the executor.
@@ -1141,7 +1205,7 @@ mod tests {
     use smdb_storage::value::ColumnValues;
     use smdb_storage::{ColumnDef, DataType, ScanPredicate, Schema, StorageEngine, Table};
 
-    fn database() -> Arc<Database> {
+    pub(super) fn database() -> Arc<Database> {
         let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]).unwrap();
         let table = Table::from_columns(
             "t",
@@ -1155,7 +1219,7 @@ mod tests {
         Database::new(engine)
     }
 
-    fn queries(n: usize) -> Vec<Query> {
+    pub(super) fn queries(n: usize) -> Vec<Query> {
         (0..n)
             .map(|i| {
                 Query::new(
@@ -1252,40 +1316,9 @@ mod tests {
 
 #[cfg(test)]
 mod deferred_tests {
+    use super::tests::{database, queries};
     use super::*;
     use crate::executor::SequentialExecutor;
-    use smdb_common::{ColumnId, TableId};
-    use smdb_query::Query;
-    use smdb_storage::value::ColumnValues;
-    use smdb_storage::{ColumnDef, DataType, ScanPredicate, Schema, StorageEngine, Table};
-
-    fn database() -> Arc<Database> {
-        let schema = Schema::new(vec![ColumnDef::new("k", DataType::Int)]).unwrap();
-        let table = Table::from_columns(
-            "t",
-            schema,
-            vec![ColumnValues::Int((0..2000).map(|i| i % 50).collect())],
-            500,
-        )
-        .unwrap();
-        let mut engine = StorageEngine::default();
-        engine.create_table(table).unwrap();
-        Database::new(engine)
-    }
-
-    fn queries(n: usize) -> Vec<Query> {
-        (0..n)
-            .map(|i| {
-                Query::new(
-                    TableId(0),
-                    "t",
-                    vec![ScanPredicate::eq(ColumnId(0), (i % 50) as i64)],
-                    None,
-                    "pt",
-                )
-            })
-            .collect()
-    }
 
     #[test]
     fn tuning_defers_under_load_and_applies_when_idle() {
@@ -1364,6 +1397,94 @@ mod deferred_tests {
             "accrued over slices"
         );
         assert_eq!(stored.config, db.engine().current_config());
+    }
+
+    /// Applies the first action of every slice, then fails — a crash
+    /// half-way through a reconfiguration.
+    struct FailingExecutor;
+
+    impl Executor for FailingExecutor {
+        fn name(&self) -> &str {
+            "failing"
+        }
+
+        fn execute(
+            &self,
+            db: &Database,
+            _kpis: &KpiSnapshot,
+            actions: &[smdb_storage::ConfigAction],
+        ) -> Result<ExecutionReport> {
+            db.apply_config(&actions[..1.min(actions.len())])?;
+            Err(smdb_common::Error::invalid("injected apply failure"))
+        }
+    }
+
+    /// A driver over `executor` with a deferred tuning queued: a stable
+    /// workload, then a surge the organizer reacts to.
+    fn queued_driver(executor: Box<dyn Executor>) -> (Arc<Database>, Driver) {
+        let db = database();
+        let driver = Driver::builder(db.clone()).executor(executor).build();
+        for _ in 0..3 {
+            driver.run_bucket(&queries(10)).unwrap();
+        }
+        driver.run_bucket(&queries(80)).unwrap();
+        let tick = driver.tick();
+        assert!(driver.maybe_tune_deferred(&tick).unwrap().is_some());
+        assert!(driver.pending_actions() > 1, "need a multi-slice queue");
+        (db, driver)
+    }
+
+    #[test]
+    fn drain_or_rollback_restores_last_good_and_pauses_on_failure() {
+        let (db, driver) = queued_driver(Box::new(FailingExecutor));
+        let tally = driver.drain_or_rollback(2).unwrap();
+        assert_eq!((tally.applied, tally.rollbacks), (0, 1));
+        assert_eq!(driver.pending_actions(), 0, "queue abandoned");
+        assert_eq!(db.engine().current_config(), *driver.baseline_config());
+        assert!(driver.organizer().is_paused());
+        let state = driver.tuning_state();
+        assert_eq!((state.apply_failures, state.rollbacks), (1, 1));
+        assert!(!state.reconfig_in_flight);
+    }
+
+    #[test]
+    fn drain_or_rollback_is_noop_when_paused_or_idle() {
+        // Nothing queued: no drain, no rollback.
+        let db = database();
+        let driver = Driver::builder(db.clone())
+            .executor(Box::new(FailingExecutor))
+            .build();
+        assert_eq!(driver.drain_or_rollback(4).unwrap(), DrainTally::default());
+        assert_eq!(driver.tuning_state().apply_failures, 0);
+
+        // Paused with a queue: the queue and the engine stay untouched.
+        let (db, driver) = queued_driver(Box::new(FailingExecutor));
+        let queued = driver.pending_actions();
+        driver.organizer().pause();
+        assert_eq!(driver.drain_or_rollback(4).unwrap(), DrainTally::default());
+        assert_eq!(driver.pending_actions(), queued);
+        assert_eq!(db.engine().current_config(), *driver.baseline_config());
+        let state = driver.tuning_state();
+        assert_eq!((state.apply_failures, state.rollbacks), (0, 0));
+    }
+
+    #[test]
+    fn settle_drains_the_queue_or_rolls_back() {
+        let (_, driver) = queued_driver(Box::new(SequentialExecutor::immediate()));
+        let queued = driver.pending_actions() as u64;
+        assert_eq!(driver.settle(1, 0).unwrap(), DrainTally::default());
+        let tally = driver.settle(1, 64).unwrap();
+        assert_eq!((tally.applied, tally.rollbacks), (queued, 0));
+        assert_eq!(driver.pending_actions(), 0);
+        assert_eq!(driver.config_storage().len(), 1, "instance stored");
+
+        // A paused organizer is resumed; a failure ends the settle.
+        let (db, driver) = queued_driver(Box::new(FailingExecutor));
+        driver.organizer().pause();
+        assert_eq!(driver.settle(1, 64).unwrap().rollbacks, 1);
+        assert_eq!(driver.pending_actions(), 0);
+        assert!(driver.organizer().is_paused());
+        assert_eq!(db.engine().current_config(), *driver.baseline_config());
     }
 
     #[test]

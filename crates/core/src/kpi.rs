@@ -22,6 +22,7 @@ use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 use smdb_common::Cost;
+use smdb_obs::metrics::quantile_rank;
 
 const LATENCY_WINDOW: usize = 4096;
 const BUCKET_WINDOW: usize = 256;
@@ -251,12 +252,10 @@ impl KpiCollector {
         self.percentile_response(0.99)
     }
 
-    /// The `ceil(n·p)`-th smallest response time over the rolling window
-    /// (`Cost::ZERO` when empty) — the rank rule `smdb_obs` histogram
-    /// quantiles mirror.
+    /// The [`quantile_rank`]-th smallest response time over the rolling
+    /// window (`Cost::ZERO` when empty).
     pub fn percentile_response(&self, p: f64) -> Cost {
-        let window = self.inner.lock().sorted_window();
-        Cost(percentile_of_sorted(&window, p))
+        ranked(&self.inner.lock().sorted_window(), p)
     }
 
     /// Most recent bucket utilization. `None` before the first bucket
@@ -327,8 +326,8 @@ impl KpiCollector {
         };
         KpiSnapshot {
             mean_response,
-            p95_response: Cost(percentile_of_sorted(&window, 0.95)),
-            p99_response: Cost(percentile_of_sorted(&window, 0.99)),
+            p95_response: ranked(&window, 0.95),
+            p99_response: ranked(&window, 0.99),
             utilization,
             memory: inner.memory.back().copied(),
             last_bucket_throughput,
@@ -403,14 +402,11 @@ pub struct KpiState {
     pub utilization_stale: bool,
 }
 
-/// The `ceil(n·p)`-th smallest element of a sorted slice (0.0 if empty)
-/// — the rank rule `smdb_obs::metrics::Histogram::quantile` mirrors.
-fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
+/// The [`quantile_rank`]-th smallest element of a sorted window
+/// (`Cost::ZERO` if empty).
+fn ranked(sorted: &[f64], p: f64) -> Cost {
+    let rank = quantile_rank(sorted.len() as u64, p) as usize;
+    Cost(sorted.get(rank - 1).copied().unwrap_or(0.0))
 }
 
 #[cfg(test)]

@@ -45,8 +45,8 @@ pub use candidate::{Assessment, Candidate, SelectionInput};
 pub use config_storage::{ConfigStorage, RollbackRecord, StoredInstance};
 pub use constraints::ConstraintSet;
 pub use driver::{
-    BucketReport, Driver, DriverBuilder, OrderingPolicy, RollbackReport, TuningRunReport,
-    TuningState, TuningTick,
+    BucketReport, DrainTally, Driver, DriverBuilder, OrderingPolicy, RollbackReport,
+    TuningRunReport, TuningState, TuningTick,
 };
 pub use durability::{
     recover, DurabilityConfig, DurabilityManager, DurabilityStats, PendingReconfigState,

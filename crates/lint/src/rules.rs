@@ -175,12 +175,11 @@ pub fn registry() -> Vec<Rule> {
                 "no thread::spawn/Builder/scope outside the scan pool and the runtime worker pool",
             include: &["crates/", "src/"],
             // The designated thread seams: the morsel scheduler's
-            // helper pool and the serving runtimes' scoped worker pools
-            // (single-engine and sharded multi-tenant).
+            // helper pool and the serving runtimes' one scoped worker
+            // pool (`runtime.rs`, which the sharded runtime reuses).
             exclude: &[
                 "crates/storage/src/parallel.rs",
                 "crates/runtime/src/runtime.rs",
-                "crates/runtime/src/sharded.rs",
             ],
             skip_test_code: true,
             check: Check::Tokens(&["thread::spawn", "thread::Builder", "thread::scope"]),

@@ -429,10 +429,11 @@ mod tests {
 
     #[test]
     fn committed_v1_soak_trail_still_validates() {
-        // Backward compatibility: the baseline trail committed before
-        // the sharded engine existed must stay a valid (v1) document.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TRAIL_soak.json");
-        let raw = std::fs::read_to_string(path).expect("committed TRAIL_soak.json exists");
+        // Backward compatibility: a single-engine soak trail (no schema
+        // tag, no shard field, no v2.1 kinds — written by the in-memory
+        // `soak --trail`) must stay a valid (v1) document.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/trail_v1.json");
+        let raw = std::fs::read_to_string(path).expect("committed v1 trail fixture exists");
         let doc = parse(&raw).expect("parses");
         let summary = validate_trail(&doc).expect("committed baseline validates");
         assert_eq!(summary.schema_version, 1, "pre-sharding trail is v1");

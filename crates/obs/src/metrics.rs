@@ -3,10 +3,10 @@
 //! Counters and gauges are lock-free handles; histograms are log-linear
 //! (power-of-two exponent ranges split into [`SUB_BUCKETS`] linear
 //! sub-buckets) and merge by index-wise count addition, which makes the
-//! merge exactly associative and commutative. Quantiles use the same
-//! rank rule as `KpiCollector::percentile_response` (`ceil(n·p)`-th
-//! smallest) and return the containing bucket's upper bound, so they
-//! agree with the exact percentile to within one sub-bucket width.
+//! merge exactly associative and commutative. Quantiles use the
+//! workspace's one rank rule, [`quantile_rank`], and return the
+//! containing bucket's upper bound, so they agree with the exact
+//! percentile to within one sub-bucket width.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,6 +21,14 @@ pub const SUB_BUCKETS: usize = 32;
 const MIN_EXP: i32 = -32;
 /// Values at or above `2^(MAX_EXP+1)` clamp into the last range.
 const MAX_EXP: i32 = 63;
+
+/// The 1-based rank of the `p`-quantile among `n` sorted samples:
+/// `ceil(n·p)`, clamped to `[1, n]`. Every percentile in the workspace —
+/// histogram quantiles, KPI windows, soak latency reports — picks its
+/// sample with this rule.
+pub fn quantile_rank(n: u64, p: f64) -> u64 {
+    ((n as f64 * p).ceil() as u64).clamp(1, n.max(1))
+}
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -127,14 +135,14 @@ impl Histogram {
         self.total += other.total;
     }
 
-    /// Upper bound of the bucket holding the `ceil(n·p)`-th smallest
-    /// sample — the same rank `KpiCollector` uses, so the two agree to
-    /// within one bucket width. `None` when empty.
+    /// Upper bound of the bucket holding the [`quantile_rank`]-th
+    /// smallest sample, so it agrees with an exact percentile to within
+    /// one bucket width. `None` when empty.
     pub fn quantile(&self, p: f64) -> Option<f64> {
         if self.total == 0 {
             return None;
         }
-        let rank = ((self.total as f64 * p).ceil() as u64).clamp(1, self.total);
+        let rank = quantile_rank(self.total, p);
         let mut seen = 0u64;
         for (&index, &count) in &self.counts {
             seen += count;

@@ -41,9 +41,7 @@ impl ExpectedResult {
     }
 
     /// Whether `output` answers this expectation (row counts exact,
-    /// aggregates within float-reassociation tolerance). Public so the
-    /// sharded serving path can verify scatter-gather answers against
-    /// oracles it captured itself.
+    /// aggregates within float-reassociation tolerance).
     pub fn accepts(&self, output: &ScanOutput) -> bool {
         if output.rows_matched != self.rows_matched {
             return false;
@@ -91,14 +89,26 @@ impl ResultOracle {
         db: &Database,
         queries: impl IntoIterator<Item = &'a Query>,
     ) -> Result<ResultOracle> {
-        let mut expected = HashMap::new();
         let engine = db.engine();
+        Self::capture_with(queries, |q| {
+            engine.scan_grouped(q.table(), q.predicates(), q.aggregate(), q.group_by())
+        })
+    }
+
+    /// Records the answer `run` gives for every query, capturing each
+    /// distinct instance once, in first-seen order. The caller picks the
+    /// path that computes ground truth — [`ResultOracle::capture`] scans
+    /// one engine, a sharded caller runs its scatter-gather path.
+    pub fn capture_with<'a>(
+        queries: impl IntoIterator<Item = &'a Query>,
+        mut run: impl FnMut(&Query) -> Result<ScanOutput>,
+    ) -> Result<ResultOracle> {
+        let mut expected = HashMap::new();
         for q in queries {
             if expected.contains_key(&q.instance_fingerprint()) {
                 continue;
             }
-            let output =
-                engine.scan_grouped(q.table(), q.predicates(), q.aggregate(), q.group_by())?;
+            let output = run(q)?;
             expected.insert(q.instance_fingerprint(), ExpectedResult::of(&output));
         }
         Ok(ResultOracle { expected })
@@ -149,6 +159,31 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
+    /// Folds one served query into the statistics: an answer counts as
+    /// a query (cost, morsels, digest) and, when `oracle` contradicts it,
+    /// as a wrong result; an engine error counts as an error. Every
+    /// serving path takes this one step per query.
+    pub fn record(
+        &mut self,
+        query: &Query,
+        result: &Result<QueryRunResult>,
+        oracle: Option<&ResultOracle>,
+    ) {
+        let Ok(result) = result else {
+            self.errors += 1;
+            return;
+        };
+        self.queries += 1;
+        self.busy += result.output.sim_cost;
+        self.morsels += result.output.morsels;
+        self.result_digest = self
+            .result_digest
+            .wrapping_add(result_hash(query, &result.output));
+        if oracle.and_then(|o| o.verify(query, &result.output)) == Some(false) {
+            self.wrong_results += 1;
+        }
+    }
+
     /// Folds another session's statistics into this one (digests and
     /// counters add); the result is independent of fold order.
     pub fn merge(&mut self, other: &SessionStats) {
@@ -194,27 +229,9 @@ impl Session {
     /// Engine errors are counted and propagated — the caller decides
     /// whether the session survives.
     pub fn run(&mut self, query: &Query) -> Result<QueryRunResult> {
-        match self.db.run_query(query) {
-            Ok(result) => {
-                self.stats.queries += 1;
-                self.stats.busy += result.output.sim_cost;
-                self.stats.morsels += result.output.morsels;
-                self.stats.result_digest = self
-                    .stats
-                    .result_digest
-                    .wrapping_add(result_hash(query, &result.output));
-                if let Some(oracle) = &self.oracle {
-                    if oracle.verify(query, &result.output) == Some(false) {
-                        self.stats.wrong_results += 1;
-                    }
-                }
-                Ok(result)
-            }
-            Err(e) => {
-                self.stats.errors += 1;
-                Err(e)
-            }
-        }
+        let result = self.db.run_query(query);
+        self.stats.record(query, &result, self.oracle.as_deref());
+        result
     }
 
     /// The session's statistics so far.
@@ -231,9 +248,10 @@ impl Session {
 /// Hash of one answer's configuration-independent parts. Aggregate
 /// *values* are excluded: physical reconfiguration may legally perturb
 /// float sums in the last bits (the oracle checks them with tolerance);
-/// the digest must be bit-stable across configurations. Public so the
-/// sharded serving path accumulates the *same* digest for the same
-/// answers — the shard-count-invariance witness.
+/// the digest must be bit-stable across configurations. Every serving
+/// path digests answers with it (via [`SessionStats::record`]), so the
+/// same answers give the same digest — the shard-count-invariance
+/// witness.
 pub fn result_hash(query: &Query, output: &ScanOutput) -> u64 {
     let mut h = query
         .instance_fingerprint()

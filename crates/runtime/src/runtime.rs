@@ -28,14 +28,16 @@
 //! flight-recorder decision trail — are identical regardless of worker
 //! count and scheduling.
 
+use std::iter::{Skip, StepBy};
+use std::slice;
 use std::sync::mpsc;
 use std::sync::Arc;
 
 use smdb_common::{Cost, Error, Result};
 use smdb_core::{
-    ConstraintSet, Driver, DurabilityManager, DurabilityStats, FeatureKind, OrganizerConfig,
-    TuningState, TuningTick,
+    ConstraintSet, DrainTally, Driver, DurabilityManager, DurabilityStats, TuningState, TuningTick,
 };
+use smdb_obs::metrics::quantile_rank;
 use smdb_obs::span;
 use smdb_query::{Database, Query, ResultOracle, Session, SessionStats};
 
@@ -51,18 +53,12 @@ pub struct RuntimeConfig {
     pub bucket_capacity: Cost,
     /// Maximum actions applied per low-utilization drain slice.
     pub slice_budget: usize,
-    /// Buckets tuning stays paused after a failed reconfiguration.
-    pub cooldown_buckets: u64,
     /// Maximum idle buckets the post-workload drain may take.
     pub drain_ticks: usize,
     /// Injected apply failures (attempt-indexed).
     pub fault_plan: FaultPlan,
     /// Optional tail-latency SLA handed to the organizer.
     pub sla_p95: Option<Cost>,
-    /// Organizer forecast-shift threshold.
-    pub cost_delta_threshold: f64,
-    /// Organizer rate limit (buckets between tunings).
-    pub min_tuning_interval: u64,
     /// Scan-pool threads for morsel-driven parallel scans. `1` (the
     /// default) serves every scan inline; `> 1` installs a shared
     /// [`smdb_storage::ScanPool`] on the database and workers submit
@@ -80,17 +76,17 @@ impl Default for RuntimeConfig {
             workers: 4,
             bucket_capacity: Cost(2_000.0),
             slice_budget: 4,
-            cooldown_buckets: 2,
             drain_ticks: 64,
             fault_plan: FaultPlan::none(),
             sla_p95: None,
-            cost_delta_threshold: 0.25,
-            min_tuning_interval: 2,
             scan_threads: 1,
             morsel_chunks: smdb_storage::parallel::DEFAULT_MORSEL_CHUNKS,
         }
     }
 }
+
+/// Buckets tuning stays paused after a failed reconfiguration.
+const COOLDOWN_BUCKETS: u64 = 2;
 
 /// What the tuning thread did over a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -172,8 +168,9 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Wires a driver (indexing + compression, low-utilization-gated
-    /// fault-injecting executor) around `db`.
+    /// Wires a driver (the builder's indexing + compression tuners and
+    /// organizer, a low-utilization-gated fault-injecting executor)
+    /// around `db`.
     pub fn new(db: Arc<Database>, config: RuntimeConfig) -> Runtime {
         Self::build(db, config, None)
     }
@@ -195,13 +192,7 @@ impl Runtime {
     ) -> Runtime {
         let executor = FaultInjectingExecutor::during_low_utilization(config.fault_plan.clone());
         let mut builder = Driver::builder(db.clone())
-            .features(vec![FeatureKind::Indexing, FeatureKind::Compression])
             .executor(Box::new(executor.clone()))
-            .organizer(OrganizerConfig {
-                cost_delta_threshold: config.cost_delta_threshold,
-                min_interval: config.min_tuning_interval,
-                require_low_utilization: false,
-            })
             .constraints(ConstraintSet {
                 sla_p95_response: config.sla_p95,
                 ..ConstraintSet::none()
@@ -211,14 +202,7 @@ impl Runtime {
             builder = builder.durability(d);
         }
         let driver = Arc::new(builder.build());
-        if config.scan_threads > 1 {
-            db.set_scan_pool(
-                Some(smdb_storage::ScanPool::new(config.scan_threads)),
-                config.morsel_chunks,
-            );
-        } else {
-            db.set_scan_pool(None, config.morsel_chunks);
-        }
+        install_scan_pool(&db, config.scan_threads, config.morsel_chunks);
         Runtime {
             db,
             driver,
@@ -299,7 +283,7 @@ impl Runtime {
         let mut total = control.initial_stats.clone();
         let mut bucket_latencies: Vec<(Phase, Vec<f64>)> = Vec::with_capacity(plan.len());
         let mut buckets_served = 0usize;
-        let mut barrier = BarrierState::default();
+        let mut drains = DrainTally::default();
         let mut killed = false;
 
         // A fresh durable run starts with a full snapshot (version 0), so
@@ -316,11 +300,7 @@ impl Runtime {
             // while the tuning thread still decides on the previous tick.
             let (tick_tx, tick_rx) = mpsc::sync_channel::<Option<TuningTick>>(1);
             let (ack_tx, ack_rx) = mpsc::channel::<()>();
-            let tuner = {
-                let driver = Arc::clone(&self.driver);
-                let config = self.config.clone();
-                scope.spawn(move || tuner_loop(&driver, &config, &tick_rx, &ack_tx))
-            };
+            let tuner = scope.spawn(move || tuner_loop(&self.driver, &tick_rx, &ack_tx));
             let mut in_flight = false;
             if control.resume_tick && control.start_bucket > 0 {
                 // The boundary record is written from exactly the state
@@ -358,7 +338,7 @@ impl Runtime {
                 self.driver.close_bucket();
                 // Barrier: apply whatever the tuning thread queued, in
                 // budgeted slices, strictly between buckets.
-                self.barrier_drain(&mut barrier)?;
+                drains += self.driver.drain_or_rollback(self.config.slice_budget)?;
                 // Boundary record first, tick second, both from the same
                 // settled state: recovery restores the boundary and
                 // re-sends the identical tick.
@@ -378,25 +358,17 @@ impl Runtime {
                 .join()
                 .map_err(|_| Error::invalid("tuning thread panicked"))?
         })?;
-        tuner_report.drained = barrier.drained;
-        tuner_report.failures_handled = barrier.failures_handled;
         if killed {
             return Ok(None);
         }
 
         // Post-workload cooldown: idle buckets drain whatever is still
         // queued so the run ends with a settled configuration.
-        let mut ticks = 0usize;
-        while self.driver.pending_actions() > 0 && ticks < self.config.drain_ticks {
-            self.driver.close_bucket();
-            if self.driver.organizer().is_paused() {
-                self.driver.organizer().resume();
-            }
-            self.barrier_drain(&mut barrier)?;
-            ticks += 1;
-        }
-        tuner_report.drained = barrier.drained;
-        tuner_report.failures_handled = barrier.failures_handled;
+        drains += self
+            .driver
+            .settle(self.config.slice_budget, self.config.drain_ticks)?;
+        tuner_report.drained = drains.applied;
+        tuner_report.failures_handled = drains.rollbacks;
 
         let (cold_mean, cold_p95) = heavy_metrics(&bucket_latencies, true);
         let (tuned_mean, tuned_p95) = heavy_metrics(&bucket_latencies, false);
@@ -415,97 +387,82 @@ impl Runtime {
         }))
     }
 
-    /// One barrier drain step: applies a budgeted slice of queued
-    /// actions strictly between buckets, rolling back (and pausing
-    /// tuning) when an apply fails. Skipped while tuning is paused.
-    fn barrier_drain(&self, state: &mut BarrierState) -> Result<()> {
-        if self.driver.organizer().is_paused() || self.driver.pending_actions() == 0 {
-            return Ok(());
-        }
-        let _span = span!("runtime", "barrier_drain");
-        let tick = self.driver.tick();
-        match self
-            .driver
-            .drain_pending_slice_at(&tick, self.config.slice_budget)
-        {
-            Ok(n) => state.drained += n as u64,
-            Err(cause) => {
-                // A failed apply left the engine mid-reconfiguration:
-                // restore the last good instance, then pause tuning for a
-                // cooldown. If even the rollback fails the run reports
-                // the broken state.
-                self.driver.rollback_to_last_good(&cause.to_string())?;
-                state.failures_handled += 1;
-                self.driver.organizer().pause();
-            }
-        }
-        Ok(())
-    }
-
-    /// Serves one bucket with the worker pool: queries are partitioned
-    /// round-robin, each worker verifies against the oracle and feeds
-    /// the driver's KPI window.
+    /// Serves one bucket with the worker pool: each worker verifies its
+    /// round-robin share against the oracle and feeds the driver's KPI
+    /// window.
     fn serve_bucket(
         &self,
         queries: &[Query],
         oracle: &Arc<ResultOracle>,
     ) -> Result<(SessionStats, Vec<f64>)> {
-        // Physical worker threads are capped at the host's parallelism:
-        // extra workers on an oversubscribed host only add spawn and
-        // context-switch overhead. Every statistic this function returns
-        // is partition-independent (the digest by construction, latency
-        // aggregates as multisets), so the clamp cannot change any
-        // deterministic output — `digest_is_worker_count_invariant`
-        // below is the witness.
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(usize::MAX);
-        let workers = self.config.workers.max(1).min(host);
+        let outputs = round_robin(queries, self.config.workers, |w, share| {
+            let _span = span!("runtime", "worker", { worker: w });
+            let mut session =
+                Session::with_oracle(Arc::clone(&self.db), w as u64, Arc::clone(oracle));
+            let mut lats = Vec::new();
+            for q in share {
+                // Engine errors are counted in the session stats;
+                // serving continues.
+                if let Ok(r) = session.run(q) {
+                    // KPIs see the (possibly parallel) simulated latency;
+                    // sim_cost stays the work the cost model is
+                    // calibrated on.
+                    self.driver
+                        .record_scan(r.output.sim_latency, r.output.morsels);
+                    lats.push(r.output.sim_latency.ms());
+                }
+            }
+            (session.into_stats(), lats)
+        })?;
         let mut merged = SessionStats::default();
         let mut latencies = Vec::with_capacity(queries.len());
-        std::thread::scope(|scope| -> Result<()> {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let db = Arc::clone(&self.db);
-                    let oracle = Arc::clone(oracle);
-                    let driver = Arc::clone(&self.driver);
-                    scope.spawn(move || {
-                        let _span = span!("runtime", "worker", { worker: w });
-                        let mut session = Session::with_oracle(db, w as u64, oracle);
-                        let mut lats = Vec::new();
-                        for q in queries.iter().skip(w).step_by(workers) {
-                            // Engine errors are counted in the session
-                            // stats; serving continues.
-                            if let Ok(r) = session.run(q) {
-                                // KPIs see the (possibly parallel)
-                                // simulated latency; sim_cost stays the
-                                // work the cost model is calibrated on.
-                                driver.record_scan(r.output.sim_latency, r.output.morsels);
-                                lats.push(r.output.sim_latency.ms());
-                            }
-                        }
-                        (session.into_stats(), lats)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let (stats, lats) = handle
-                    .join()
-                    .map_err(|_| Error::invalid("worker thread panicked"))?;
-                merged.merge(&stats);
-                latencies.extend(lats);
-            }
-            Ok(())
-        })?;
+        for (stats, lats) in outputs {
+            merged.merge(&stats);
+            latencies.extend(lats);
+        }
         Ok((merged, latencies))
     }
 }
 
-/// Counters the control thread accumulates at bucket barriers.
-#[derive(Debug, Default)]
-struct BarrierState {
-    drained: u64,
-    failures_handled: u64,
+/// Installs a `threads`-thread scan pool on `db` with `morsel_chunks`
+/// chunks per morsel; `threads <= 1` serves every scan inline.
+pub(crate) fn install_scan_pool(db: &Database, threads: usize, morsel_chunks: usize) {
+    let pool = (threads > 1).then(|| smdb_storage::ScanPool::new(threads));
+    db.set_scan_pool(pool, morsel_chunks);
+}
+
+/// Serves `items` on `min(workers, available_parallelism)` scoped
+/// threads, round-robin: worker `w` takes items `w`, `w + W`, `w + 2W`, …
+/// through `serve(w, share)`. Returns the outputs in worker order; a
+/// worker panic becomes an [`Error`]. Both serving runtimes partition
+/// their buckets here and nowhere else.
+pub(crate) fn round_robin<'a, T: Sync, R: Send>(
+    items: &'a [T],
+    workers: usize,
+    serve: impl Fn(usize, StepBy<Skip<slice::Iter<'a, T>>>) -> R + Sync,
+) -> Result<Vec<R>> {
+    // Physical worker threads are capped at the host's parallelism:
+    // extra workers on an oversubscribed host only add spawn and
+    // context-switch overhead. Every statistic the runtimes derive is
+    // partition-independent (the digest by construction, latency
+    // aggregates as multisets), so the clamp cannot change any
+    // deterministic output — `digest_is_worker_count_invariant` below is
+    // the witness.
+    let host = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(usize::MAX);
+    let workers = workers.max(1).min(host);
+    let serve = &serve;
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| scope.spawn(move || serve(w, items.iter().skip(w).step_by(workers))))
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    joined
+        .into_iter()
+        .map(|r| r.map_err(|_| Error::invalid("worker thread panicked")))
+        .collect()
 }
 
 /// The tuning thread: one *decision* per closed bucket. It never touches
@@ -514,7 +471,6 @@ struct BarrierState {
 /// points regardless of how this thread is scheduled.
 fn tuner_loop(
     driver: &Driver,
-    config: &RuntimeConfig,
     ticks: &mpsc::Receiver<Option<TuningTick>>,
     acks: &mpsc::Sender<()>,
 ) -> Result<TunerReport> {
@@ -526,7 +482,7 @@ fn tuner_loop(
         if driver.organizer().is_paused() {
             // Degraded mode after a rollback: serve-only until the
             // cooldown elapses.
-            let left = cooldown.get_or_insert(config.cooldown_buckets.max(1));
+            let left = cooldown.get_or_insert(COOLDOWN_BUCKETS);
             *left = left.saturating_sub(1);
             if *left == 0 {
                 driver.organizer().resume();
@@ -561,8 +517,8 @@ fn heavy_metrics(buckets: &[(Phase, Vec<f64>)], first: bool) -> (Cost, Cost) {
     let mean = lats.iter().sum::<f64>() / lats.len() as f64;
     let mut sorted = lats.clone();
     sorted.sort_by(f64::total_cmp);
-    let idx = ((sorted.len() as f64 * 0.95).ceil() as usize).min(sorted.len()) - 1;
-    (Cost(mean), Cost(sorted[idx]))
+    let p95 = sorted[quantile_rank(sorted.len() as u64, 0.95) as usize - 1];
+    (Cost(mean), Cost(p95))
 }
 
 #[cfg(test)]

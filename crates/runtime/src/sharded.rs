@@ -6,9 +6,10 @@
 //! Organizer role of paper §II) re-splits one index-memory budget
 //! across the shard drivers at every bucket boundary:
 //!
-//! * workers partition each bucket's queries round-robin; answers are
-//!   verified against expectations captured before any tuning, and the
-//!   order-independent result digest is accumulated per worker;
+//! * workers partition each bucket's queries round-robin (the same
+//!   partition the single-engine runtime uses); answers are verified
+//!   against a [`ResultOracle`] captured before any tuning, and each
+//!   worker folds them into [`SessionStats`];
 //! * at the bucket barrier the control thread closes every shard's KPI
 //!   bucket (draining that shard's scan counters atomically via
 //!   [`Database::take_scan_stats`]), lets each shard driver decide and
@@ -21,20 +22,29 @@
 //! Per-shard decision trails (shard-stamped flight recorders) and the
 //! global arbiter trail merge into one smdb-trail/v2 document.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 use smdb_common::json::Json;
-use smdb_common::{Cost, Error, Result};
-use smdb_core::{ConstraintSet, Driver, FeatureKind, OrganizerConfig, TuningState};
+use smdb_common::{Cost, Result};
+use smdb_core::{ConstraintSet, Driver, TuningState};
+use smdb_obs::metrics::quantile_rank;
 use smdb_obs::{span, FlightRecorder};
-use smdb_query::{result_hash, ExpectedResult, PlanCache};
+use smdb_query::{PlanCache, ResultOracle, SessionStats};
 use smdb_shard::{
     Assignment, BudgetArbiter, MultiTenantConfig, ShardSpec, ShardedDatabase, TenantQuery,
     TenantStream,
 };
+
+use crate::runtime::{install_scan_pool, round_robin};
+
+/// Idle buckets the post-run settle may take per shard.
+const SETTLE_TICKS: usize = 32;
+
+/// One worker's share of a bucket: its stats and `(tenant, ms)` latencies.
+type WorkerShare = (SessionStats, Vec<(i64, f64)>);
 
 /// Multi-tenant soak parameters.
 #[derive(Debug, Clone)]
@@ -170,22 +180,18 @@ pub struct ShardedRuntime {
 }
 
 impl ShardedRuntime {
-    /// Builds the sharded fixture and wires a driver per shard: local
-    /// indexing/compression tuners, shard-stamped flight recorders, and
-    /// an even initial budget split the arbiter will re-target.
+    /// Builds the sharded fixture and wires a driver per shard: the
+    /// builder's indexing/compression tuners and organizer, shard-stamped
+    /// flight recorders, and an even initial budget split the arbiter
+    /// will re-target.
     pub fn new(config: MtSoakConfig) -> Result<ShardedRuntime> {
         let spec = ShardSpec {
             shards: config.shards,
             assignment: config.assignment,
         };
         let db = Arc::new(smdb_shard::build_sharded(&config.tenants, &spec)?);
-        if config.scan_threads > 1 {
-            for shard in db.shards() {
-                shard.set_scan_pool(
-                    Some(smdb_storage::ScanPool::new(config.scan_threads)),
-                    config.morsel_chunks,
-                );
-            }
+        for shard in db.shards() {
+            install_scan_pool(shard, config.scan_threads, config.morsel_chunks);
         }
         let initial_share = config.budget_bytes / config.shards.max(1) as u64;
         let drivers: Vec<Arc<Driver>> = db
@@ -195,12 +201,6 @@ impl ShardedRuntime {
             .map(|(s, shard)| {
                 Arc::new(
                     Driver::builder(Arc::clone(shard))
-                        .features(vec![FeatureKind::Indexing, FeatureKind::Compression])
-                        .organizer(OrganizerConfig {
-                            cost_delta_threshold: 0.25,
-                            min_interval: 2,
-                            require_low_utilization: false,
-                        })
                         .constraints(ConstraintSet {
                             index_memory_bytes: Some(initial_share as i64),
                             ..ConstraintSet::none()
@@ -256,15 +256,9 @@ impl ShardedRuntime {
     pub fn run(&self, plan: &[Vec<TenantQuery>]) -> Result<MtSoakOutcome> {
         // Ground truth before any tuning: every unique query instance's
         // answer, captured through the same sharded path that serves it.
-        let mut expected: HashMap<u64, ExpectedResult> = HashMap::new();
-        for tq in plan.iter().flatten() {
-            let fp = tq.query.instance_fingerprint();
-            if !expected.contains_key(&fp) {
-                let out = self.db.run_query(&tq.query)?.output;
-                expected.insert(fp, ExpectedResult::of(&out));
-            }
-        }
-        let expected = Arc::new(expected);
+        let oracle = ResultOracle::capture_with(plan.iter().flatten().map(|tq| &tq.query), |q| {
+            Ok(self.db.run_query(q)?.output)
+        })?;
         // Capture warmed every shard's plan cache; reset the clocks so
         // serving starts from a clean slate (capture is not traffic).
         for shard in self.db.shards() {
@@ -279,12 +273,8 @@ impl ShardedRuntime {
             .map(|_| Mutex::new(PlanCache::new(self.config.tenant_plan_cache)))
             .collect();
         let mut tenant_lats: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-        let mut tenant_counts: BTreeMap<i64, u64> = BTreeMap::new();
 
-        let mut queries = 0u64;
-        let mut errors = 0u64;
-        let mut wrong_results = 0u64;
-        let mut digest = 0u64;
+        let mut total = SessionStats::default();
         let mut morsels = 0u64;
         let mut budget_ok = true;
         let mut max_used = 0u64;
@@ -292,15 +282,10 @@ impl ShardedRuntime {
         let started = Instant::now();
         for (b, bucket) in plan.iter().enumerate() {
             let _span = span!("sharded", "bucket", { bucket: b, queries: bucket.len() });
-            let worker_outputs = self.serve_bucket(bucket, &expected, &tenant_caches)?;
-            for wo in worker_outputs {
-                queries += wo.queries;
-                errors += wo.errors;
-                wrong_results += wo.wrong;
-                digest = digest.wrapping_add(wo.digest);
-                for (tenant, lat) in wo.tenant_lats {
+            for (stats, lats) in self.serve_bucket(bucket, &oracle, &tenant_caches)? {
+                total.merge(&stats);
+                for (tenant, lat) in lats {
                     tenant_lats.entry(tenant).or_default().push(lat);
-                    *tenant_counts.entry(tenant).or_default() += 1;
                 }
             }
             // Bucket barrier: close every shard's bucket off its local
@@ -312,16 +297,8 @@ impl ShardedRuntime {
                 morsels += stats.morsels;
                 let report = driver.close_bucket();
                 busy.push(report.bucket_cost.ms());
-                let tick = driver.tick();
-                driver.maybe_tune_deferred(&tick)?;
-                if !driver.organizer().is_paused() && driver.pending_actions() > 0 {
-                    if let Err(cause) =
-                        driver.drain_pending_slice_at(&tick, self.config.slice_budget)
-                    {
-                        driver.rollback_to_last_good(&cause.to_string())?;
-                        driver.organizer().pause();
-                    }
-                }
+                driver.maybe_tune_deferred(&driver.tick())?;
+                driver.drain_or_rollback(self.config.slice_budget)?;
             }
             let outcome =
                 self.arbiter
@@ -333,35 +310,16 @@ impl ShardedRuntime {
 
         // Settle: drain anything still queued so the run ends stable.
         for driver in &self.drivers {
-            let mut ticks = 0;
-            while driver.pending_actions() > 0 && ticks < 32 {
-                driver.close_bucket();
-                driver.organizer().resume();
-                let tick = driver.tick();
-                if driver
-                    .drain_pending_slice_at(&tick, self.config.slice_budget)
-                    .is_err()
-                {
-                    driver.rollback_to_last_good("settle drain failed")?;
-                    break;
-                }
-                ticks += 1;
-            }
+            driver.settle(self.config.slice_budget, SETTLE_TICKS)?;
         }
 
         let tenant_stats: BTreeMap<i64, TenantStats> = tenant_lats
             .into_iter()
             .map(|(tenant, mut lats)| {
                 lats.sort_by(f64::total_cmp);
-                let idx = ((lats.len() as f64 * 0.95).ceil() as usize).min(lats.len()) - 1;
-                let queries = tenant_counts.get(&tenant).copied().unwrap_or(0);
-                (
-                    tenant,
-                    TenantStats {
-                        queries,
-                        p95_ms: lats[idx],
-                    },
-                )
+                let p95_ms = lats[quantile_rank(lats.len() as u64, 0.95) as usize - 1];
+                let queries = lats.len() as u64;
+                (tenant, TenantStats { queries, p95_ms })
             })
             .collect();
 
@@ -375,11 +333,12 @@ impl ShardedRuntime {
         let (routed, scattered) = (routed_now - routed_before, scattered_now - scattered_before);
         let mut recorders: Vec<&FlightRecorder> = vec![self.global_recorder.as_ref()];
         recorders.extend(self.drivers.iter().map(|d| d.flight_recorder().as_ref()));
+        let queries = total.queries;
         Ok(MtSoakOutcome {
             queries,
-            errors,
-            wrong_results,
-            result_digest: digest,
+            errors: total.errors,
+            wrong_results: total.wrong_results,
+            result_digest: total.result_digest,
             routed,
             scattered,
             wall_seconds,
@@ -399,89 +358,49 @@ impl ShardedRuntime {
         })
     }
 
+    /// Serves one bucket: each worker routes its round-robin share,
+    /// folds every answer into its [`SessionStats`] against `oracle`,
+    /// feeds the serving shards' KPI windows and the tenant plan caches,
+    /// and returns its per-tenant latencies.
     fn serve_bucket(
         &self,
         bucket: &[TenantQuery],
-        expected: &Arc<HashMap<u64, ExpectedResult>>,
+        oracle: &ResultOracle,
         tenant_caches: &[Mutex<PlanCache>],
-    ) -> Result<Vec<WorkerOutput>> {
-        let host = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(usize::MAX);
-        let workers = self.config.workers.max(1).min(host);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let db = Arc::clone(&self.db);
-                    let expected = Arc::clone(expected);
-                    scope.spawn(move || {
-                        let mut out = WorkerOutput::default();
-                        for tq in bucket.iter().skip(w).step_by(workers) {
-                            let shard = db.route(&tq.query);
-                            match db.run_query(&tq.query) {
-                                Ok(r) => {
-                                    out.queries += 1;
-                                    out.digest =
-                                        out.digest.wrapping_add(result_hash(&tq.query, &r.output));
-                                    if let Some(e) = expected.get(&tq.query.instance_fingerprint())
-                                    {
-                                        if !e.accepts(&r.output) {
-                                            out.wrong += 1;
-                                        }
-                                    }
-                                    let lat = r.output.sim_latency;
-                                    match shard {
-                                        Some(s) => {
-                                            self.drivers[s].record_scan(lat, r.output.morsels)
-                                        }
-                                        None => {
-                                            // A scatter touched every
-                                            // candidate shard; each
-                                            // shard's KPI window sees
-                                            // the query it served.
-                                            for d in &self.drivers {
-                                                d.record_scan(lat, r.output.morsels);
-                                            }
-                                        }
-                                    }
-                                    if let Some(t) = tq.tenant {
-                                        out.tenant_lats.push((t, lat.ms()));
-                                        if let Some(cache) = tenant_caches.get(t as usize) {
-                                            cache.lock().record(
-                                                &tq.query,
-                                                r.output.sim_cost,
-                                                self.db.shards()[shard.unwrap_or(0)].now(),
-                                            );
-                                        }
-                                    }
-                                }
-                                Err(_) => out.errors += 1,
-                            }
+    ) -> Result<Vec<WorkerShare>> {
+        round_robin(bucket, self.config.workers, |_, share| {
+            let mut stats = SessionStats::default();
+            let mut tenant_lats = Vec::new();
+            for tq in share {
+                let shard = self.db.route(&tq.query);
+                let result = self.db.run_query(&tq.query);
+                stats.record(&tq.query, &result, Some(oracle));
+                let Ok(r) = result else { continue };
+                let lat = r.output.sim_latency;
+                match shard {
+                    Some(s) => self.drivers[s].record_scan(lat, r.output.morsels),
+                    None => {
+                        // A scatter touched every candidate shard; each
+                        // shard's KPI window sees the query it served.
+                        for d in &self.drivers {
+                            d.record_scan(lat, r.output.morsels);
                         }
-                        out
-                    })
-                })
-                .collect();
-            let mut outputs = Vec::with_capacity(workers);
-            for handle in handles {
-                outputs.push(
-                    handle
-                        .join()
-                        .map_err(|_| Error::invalid("sharded worker panicked"))?,
-                );
+                    }
+                }
+                if let Some(t) = tq.tenant {
+                    tenant_lats.push((t, lat.ms()));
+                    if let Some(cache) = tenant_caches.get(t as usize) {
+                        cache.lock().record(
+                            &tq.query,
+                            r.output.sim_cost,
+                            self.db.shards()[shard.unwrap_or(0)].now(),
+                        );
+                    }
+                }
             }
-            Ok(outputs)
+            (stats, tenant_lats)
         })
     }
-}
-
-#[derive(Debug, Default)]
-struct WorkerOutput {
-    queries: u64,
-    errors: u64,
-    wrong: u64,
-    digest: u64,
-    tenant_lats: Vec<(i64, f64)>,
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, HashMap};
 use smdb_common::{ChunkColumnRef, Cost, Error, Result, TableId};
 
 use crate::config::{ConfigAction, ConfigInstance, Knobs};
+use crate::index::ChunkIndex;
 use crate::memory::MemoryReport;
 use crate::placement::Tier;
 use crate::scan::{Aggregate, AggregateOp, ScanPredicate};
@@ -146,13 +147,13 @@ impl StorageEngine {
 
     /// Predicts, from chunk statistics and the catalog alone, which
     /// access path [`StorageEngine::scan_chunk`] takes on every chunk of
-    /// `table` for `predicates` — without executing anything. The
-    /// decision sequence is mirrored exactly: min/max prune, composite
-    /// probe, driving-predicate probe, batch kernel
-    /// ([`crate::kernels::covers_filter`] gated on the kernel switch),
-    /// scalar fallback. `predicted == executed` is therefore a checkable
-    /// invariant, and the soak asserts it per query against the
-    /// [`ScanOutput`] counters.
+    /// `table` for `predicates` — without executing anything. Both read
+    /// the path from the same `plan_chunk`; only the kernel-vs-scalar
+    /// split of a filtered chunk is asked of the kernel layer
+    /// ([`crate::kernels::covers_filter`], gated on the kernel switch),
+    /// which owns that choice at execution time too. `predicted ==
+    /// executed` holds by construction, and the soak asserts it per
+    /// query against the [`ScanOutput`] counters.
     pub fn predict_access_paths(
         &self,
         table: TableId,
@@ -160,59 +161,22 @@ impl StorageEngine {
     ) -> Result<PredictedPaths> {
         let table = self.table(table)?;
         let mut out = PredictedPaths::default();
-        'chunks: for (_, chunk) in table.chunks() {
-            for p in predicates {
-                if !chunk.stats(p.column)?.can_match(p) {
-                    out.pruned += 1;
-                    continue 'chunks;
-                }
-            }
-            let remaining: Vec<&ScanPredicate> = predicates.iter().collect();
-            if composite_pair(chunk, &remaining)
-                .and_then(|(i, _)| chunk.index(remaining[i].column))
-                .is_some()
-            {
-                out.index += 1;
-                continue;
-            }
-            if remaining.is_empty() {
+        for (_, chunk) in table.chunks() {
+            match plan_chunk(chunk, predicates)? {
+                None => out.pruned += 1,
+                Some(ChunkPath::Probe { .. }) => out.index += 1,
                 // Full-chunk selection: one batch emit when kernels are on.
-                if self.kernels {
-                    out.kernel += 1;
-                } else {
-                    out.scalar += 1;
+                Some(ChunkPath::Full) if self.kernels => out.kernel += 1,
+                Some(ChunkPath::Filter { drive })
+                    if self.kernels
+                        && crate::kernels::covers_filter(
+                            chunk.segment(predicates[drive].column)?,
+                            &predicates[drive],
+                        ) =>
+                {
+                    out.kernel += 1
                 }
-                continue;
-            }
-            let drive_pos = remaining
-                .iter()
-                .position(|p| {
-                    chunk.index(p.column).is_some_and(|idx| {
-                        !matches!(idx.kind(), crate::index::IndexKind::CompositeHash { .. })
-                            && idx.kind().supports(p.op)
-                            && chunk
-                                .stats(p.column)
-                                .map(|s| {
-                                    s.estimate_selectivity(p)
-                                        <= crate::scan::INDEX_SELECTIVITY_THRESHOLD
-                                })
-                                .unwrap_or(false)
-                    })
-                })
-                .unwrap_or(0);
-            let driving = remaining[drive_pos];
-            let probed = chunk.index(driving.column).is_some_and(|idx| {
-                !matches!(idx.kind(), crate::index::IndexKind::CompositeHash { .. })
-                    && idx.kind().supports(driving.op)
-            });
-            if probed {
-                out.index += 1;
-            } else if self.kernels
-                && crate::kernels::covers_filter(chunk.segment(driving.column)?, driving)
-            {
-                out.kernel += 1;
-            } else {
-                out.scalar += 1;
+                Some(_) => out.scalar += 1,
             }
         }
         Ok(out)
@@ -761,145 +725,89 @@ impl StorageEngine {
         positions: &mut Vec<u32>,
     ) -> Result<ChunkPartial> {
         let mut part = ChunkPartial::new(aggregate.map(|a| a.op));
-        // Min/max pruning over every predicate column.
-        for p in predicates {
-            if !chunk.stats(p.column)?.can_match(p) {
-                part.pruned = true;
-                part.cost += Cost(self.params.prune_check_ms);
-                return Ok(part);
-            }
-        }
+        let Some(path) = plan_chunk(chunk, predicates)? else {
+            part.pruned = true;
+            part.cost += Cost(self.params.prune_check_ms);
+            return Ok(part);
+        };
         let tier_mult = self.params.effective_tier_multiplier(
             chunk.tier(),
             self.knobs.buffer_pool_mb,
             self.nonhot_bytes,
         );
         part.cost += Cost(self.params.chunk_visit_ms);
-
         positions.clear();
-        let mut remaining: Vec<&ScanPredicate> = predicates.iter().collect();
 
-        // Composite-index fast path: a pair of equality predicates
-        // answered by one multi-attribute probe. If the index is gone
-        // by lookup time (cannot happen under the engine lock, but
-        // this path must never panic mid-serve) we fall through to
-        // the generic scan below.
-        let composite = composite_pair(chunk, &remaining)
-            .and_then(|(i, j)| chunk.index(remaining[i].column).map(|idx| (i, j, idx)));
-        if let Some((i, j, idx)) = composite {
-            let (first, second) = (remaining[i], remaining[j]);
-            idx.probe_composite(&first.value, &second.value, positions);
-            part.index_probes += 1;
-            part.cost += Cost(
-                self.params.index_probe_ms + positions.len() as f64 * self.params.index_match_ms,
-            ) * tier_mult;
-            // Drop both consumed predicates (higher index first).
-            let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-            remaining.remove(hi);
-            remaining.remove(lo);
-            for p in remaining {
-                if positions.is_empty() {
-                    break;
-                }
-                let before = positions.len();
-                let seg = chunk.segment(p.column)?;
-                if self.kernels && crate::kernels::refine(seg, p, positions) {
+        // The driving selection.
+        match path {
+            ChunkPath::Probe { drive, pair, index } => {
+                let answered = match pair {
+                    Some(second) => index.probe_composite(
+                        &predicates[drive].value,
+                        &predicates[second].value,
+                        positions,
+                    ),
+                    None => index.probe(&predicates[drive], positions),
+                };
+                debug_assert!(answered, "a planned probe must answer");
+                part.index_probes += 1;
+                part.cost += Cost(
+                    self.params.index_probe_ms
+                        + positions.len() as f64 * self.params.index_match_ms,
+                ) * tier_mult;
+            }
+            ChunkPath::Full => {
+                // One batch emit either way, so the chunk is classified
+                // with the kernel path when enabled.
+                part.kernel_chunk = self.kernels;
+                positions.extend(0..chunk.rows() as u32);
+                part.rows_scanned += chunk.rows() as u64;
+                let (units, enc) = chunk
+                    .segment(smdb_common::ColumnId(0))
+                    .map(|s| (s.scan_units(), s.encoding()))
+                    .unwrap_or((chunk.rows(), crate::encoding::EncodingKind::Unencoded));
+                part.cost += Cost(
+                    units as f64
+                        * self.params.scan_ms_per_row
+                        * self.params.encoding_scan_factor(enc),
+                ) * tier_mult;
+            }
+            ChunkPath::Filter { drive } => {
+                let driving = &predicates[drive];
+                let seg = chunk.segment(driving.column)?;
+                if self.kernels && crate::kernels::filter(seg, driving, positions) {
+                    part.kernel_chunk = true;
                     part.kernel_batches += 1;
                 } else {
-                    seg.refine(p, positions);
+                    seg.filter(driving, positions);
                 }
-                part.cost += Cost(before as f64 * self.params.refine_ms_per_row) * tier_mult;
+                part.rows_scanned += chunk.rows() as u64;
+                part.cost += Cost(
+                    seg.scan_units() as f64
+                        * self.params.scan_ms_per_row
+                        * self.params.encoding_scan_factor(seg.encoding()),
+                ) * tier_mult;
             }
-            part.rows_matched += positions.len() as u64;
-            if let Some(agg) = aggregate {
-                let agg_cost =
-                    self.aggregate_positions(chunk, agg, group_by, positions, &mut part)?;
-                part.cost += agg_cost;
-            }
-            return Ok(part);
         }
 
-        if remaining.is_empty() {
-            // Full-chunk selection: one batch emit either way, so the
-            // chunk is classified with the kernel path when enabled.
-            part.kernel_chunk = self.kernels;
-            positions.extend(0..chunk.rows() as u32);
-            part.rows_scanned += chunk.rows() as u64;
-            let (units, enc) = chunk
-                .segment(smdb_common::ColumnId(0))
-                .map(|s| (s.scan_units(), s.encoding()))
-                .unwrap_or((chunk.rows(), crate::encoding::EncodingKind::Unencoded));
-            part.cost += Cost(
-                units as f64 * self.params.scan_ms_per_row * self.params.encoding_scan_factor(enc),
-            ) * tier_mult;
-        } else {
-            // Driving predicate: prefer one an index can answer.
-            let drive_pos = remaining
-                .iter()
-                .position(|p| {
-                    chunk.index(p.column).is_some_and(|idx| {
-                        // Composite indexes cannot drive alone; broad
-                        // predicates scan (access-path rule).
-                        !matches!(idx.kind(), crate::index::IndexKind::CompositeHash { .. })
-                            && idx.kind().supports(p.op)
-                            && chunk
-                                .stats(p.column)
-                                .map(|s| {
-                                    s.estimate_selectivity(p)
-                                        <= crate::scan::INDEX_SELECTIVITY_THRESHOLD
-                                })
-                                .unwrap_or(false)
-                    })
-                })
-                .unwrap_or(0);
-            let driving = remaining.remove(drive_pos);
-
-            let seg = chunk.segment(driving.column)?;
-            match chunk.index(driving.column) {
-                // Composite indexes cannot answer a lone predicate
-                // (their fast path ran above when both were present).
-                Some(idx)
-                    if !matches!(idx.kind(), crate::index::IndexKind::CompositeHash { .. })
-                        && idx.kind().supports(driving.op) =>
-                {
-                    let answered = idx.probe(driving, positions);
-                    debug_assert!(answered, "single-attribute probe must answer");
-                    part.index_probes += 1;
-                    part.cost += Cost(
-                        self.params.index_probe_ms
-                            + positions.len() as f64 * self.params.index_match_ms,
-                    ) * tier_mult;
-                }
-                _ => {
-                    if self.kernels && crate::kernels::filter(seg, driving, positions) {
-                        part.kernel_chunk = true;
-                        part.kernel_batches += 1;
-                    } else {
-                        seg.filter(driving, positions);
-                    }
-                    part.rows_scanned += chunk.rows() as u64;
-                    part.cost += Cost(
-                        seg.scan_units() as f64
-                            * self.params.scan_ms_per_row
-                            * self.params.encoding_scan_factor(seg.encoding()),
-                    ) * tier_mult;
-                }
+        // Residual predicates refine the position list, in predicate
+        // order.
+        for (_, p) in predicates
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !path.drives(i))
+        {
+            if positions.is_empty() {
+                break;
             }
-
-            // Residual predicates refine the position list.
-            for p in remaining {
-                if positions.is_empty() {
-                    break;
-                }
-                let before = positions.len();
-                let seg = chunk.segment(p.column)?;
-                if self.kernels && crate::kernels::refine(seg, p, positions) {
-                    part.kernel_batches += 1;
-                } else {
-                    seg.refine(p, positions);
-                }
-                part.cost += Cost(before as f64 * self.params.refine_ms_per_row) * tier_mult;
+            let before = positions.len();
+            let seg = chunk.segment(p.column)?;
+            if self.kernels && crate::kernels::refine(seg, p, positions) {
+                part.kernel_batches += 1;
+            } else {
+                seg.refine(p, positions);
             }
+            part.cost += Cost(before as f64 * self.params.refine_ms_per_row) * tier_mult;
         }
 
         part.rows_matched += positions.len() as u64;
@@ -1106,14 +1014,99 @@ impl StorageEngine {
     }
 }
 
-/// Finds a pair of equality predicates `(i, j)` in `remaining` answered
-/// by a composite index on predicate `i`'s column with second column
-/// equal to predicate `j`'s column.
-fn composite_pair(
-    chunk: &crate::chunk::Chunk,
-    remaining: &[&ScanPredicate],
-) -> Option<(usize, usize)> {
-    for (i, p) in remaining.iter().enumerate() {
+/// The access path a visited chunk takes for a predicate list. Indices
+/// point into the predicate slice; every predicate the path does not
+/// drive refines the selection afterwards, in predicate order.
+enum ChunkPath<'c> {
+    /// `index` answers predicate `drive` — together with predicate
+    /// `pair` when it is a composite index.
+    Probe {
+        drive: usize,
+        pair: Option<usize>,
+        index: &'c ChunkIndex,
+    },
+    /// No predicates: every row is selected.
+    Full,
+    /// Predicate `drive` filters its segment (batch kernel or scalar —
+    /// the kernel layer decides).
+    Filter { drive: usize },
+}
+
+impl ChunkPath<'_> {
+    /// Whether predicate `i` is consumed by the driving selection.
+    fn drives(&self, i: usize) -> bool {
+        match *self {
+            ChunkPath::Probe { drive, pair, .. } => i == drive || pair == Some(i),
+            ChunkPath::Full => false,
+            ChunkPath::Filter { drive } => i == drive,
+        }
+    }
+}
+
+/// Derives `chunk`'s access path for `predicates` — the one place the
+/// engine decides it, for execution and prediction alike. Stages, first
+/// match wins: min/max pruning (`None`), a composite equality pair, the
+/// full chunk when nothing is filtered, then the driving predicate — the
+/// first one a single-column index answers below the selectivity
+/// threshold (predicate 0 when none does), probed when its index
+/// supports the operator and filtered otherwise.
+fn plan_chunk<'c>(
+    chunk: &'c crate::chunk::Chunk,
+    predicates: &[ScanPredicate],
+) -> Result<Option<ChunkPath<'c>>> {
+    for p in predicates {
+        if !chunk.stats(p.column)?.can_match(p) {
+            return Ok(None);
+        }
+    }
+    if let Some((drive, second, index)) = composite_pair(chunk, predicates) {
+        return Ok(Some(ChunkPath::Probe {
+            drive,
+            pair: Some(second),
+            index,
+        }));
+    }
+    if predicates.is_empty() {
+        return Ok(Some(ChunkPath::Full));
+    }
+    // Composite indexes cannot drive a lone predicate (their fast path
+    // ran above when both were present).
+    let probe_index = |p: &ScanPredicate| {
+        chunk.index(p.column).filter(|idx| {
+            !matches!(idx.kind(), crate::index::IndexKind::CompositeHash { .. })
+                && idx.kind().supports(p.op)
+        })
+    };
+    // Prefer a driving predicate an index answers; broad predicates scan
+    // (access-path rule).
+    let drive = predicates
+        .iter()
+        .position(|p| {
+            probe_index(p).is_some()
+                && chunk
+                    .stats(p.column)
+                    .map(|s| s.estimate_selectivity(p) <= crate::scan::INDEX_SELECTIVITY_THRESHOLD)
+                    .unwrap_or(false)
+        })
+        .unwrap_or(0);
+    Ok(Some(match probe_index(&predicates[drive]) {
+        Some(index) => ChunkPath::Probe {
+            drive,
+            pair: None,
+            index,
+        },
+        None => ChunkPath::Filter { drive },
+    }))
+}
+
+/// Finds a pair of equality predicates `(i, j)` answered by a composite
+/// index on predicate `i`'s column with second column equal to predicate
+/// `j`'s column, together with that index.
+fn composite_pair<'c>(
+    chunk: &'c crate::chunk::Chunk,
+    predicates: &[ScanPredicate],
+) -> Option<(usize, usize, &'c ChunkIndex)> {
+    for (i, p) in predicates.iter().enumerate() {
         if !matches!(p.op, crate::scan::PredicateOp::Eq) {
             continue;
         }
@@ -1123,7 +1116,7 @@ fn composite_pair(
         let crate::index::IndexKind::CompositeHash { second } = idx.kind() else {
             continue;
         };
-        for (j, q) in remaining.iter().enumerate() {
+        for (j, q) in predicates.iter().enumerate() {
             if i != j && q.column == second && matches!(q.op, crate::scan::PredicateOp::Eq) {
                 // Access-path rule on the combined selectivity.
                 let sel = chunk
@@ -1135,7 +1128,7 @@ fn composite_pair(
                         .map(|s| s.estimate_selectivity(q))
                         .unwrap_or(1.0);
                 if sel <= crate::scan::INDEX_SELECTIVITY_THRESHOLD {
-                    return Some((i, j));
+                    return Some((i, j, idx));
                 }
             }
         }

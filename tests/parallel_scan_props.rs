@@ -238,7 +238,7 @@ fn heavy_scans_do_not_starve_light_queries() {
     // would cost, and the latency model reports the unloaded figure.
     let mut sorted = light_wall_ms.clone();
     sorted.sort_by(f64::total_cmp);
-    let p99 = sorted[((sorted.len() as f64 * 0.99).ceil() as usize).min(sorted.len()) - 1];
+    let p99 = sorted[smdb::obs::metrics::quantile_rank(sorted.len() as u64, 0.99) as usize - 1];
     assert!(
         p99 < 500.0,
         "light p99 {p99} ms — starved by the heavy scan"
