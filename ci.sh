@@ -14,7 +14,8 @@
 #                         # -> BENCH_multitenant.json + TRAIL_mt.json
 #   ./ci.sh recover       # kill-and-recover soak against a hermetic
 #                         # target/ci store -> BENCH_recovery.json,
-#                         # gated vs the committed baseline
+#                         # gated vs the committed baseline; a second
+#                         # same-seed run must write an identical store
 #   ./ci.sh bench-gate    # regenerate benches into target/ci and compare
 #                         # against the committed BENCH_*.json baselines
 #   ./ci.sh bench-gate --update-baselines
@@ -102,7 +103,14 @@ run_soak_mt() { # outdir
 
 run_recover() { # outdir -> BENCH_recovery.json (hermetic store in outdir)
     cargo run --release -q -p smdb-bench --bin recover -- \
-        --dir "$1/recover_store" --json "$1/BENCH_recovery.json"
+        --workers 4 --dir "$1/recover_store" --json "$1/BENCH_recovery.json"
+}
+
+check_store_determinism() { # outdir (after run_recover): a second same-seed
+    # 4-worker run must write a byte-identical durable store
+    cargo run --release -q -p smdb-bench --bin recover -- \
+        --workers 4 --dir "$1/recover_store_twin" > /dev/null
+    diff -r "$1/recover_store" "$1/recover_store_twin"
 }
 
 check_trail() { # trail path
@@ -134,6 +142,7 @@ fresh_bench_and_gate() { # build fresh candidates into target/ci, gate them
     step "soak-mt" run_soak_mt "$CI_DIR"
     step "check-trail-mt" check_trail "$CI_DIR/TRAIL_mt.json"
     step "recover" run_recover "$CI_DIR"
+    step "recover-determinism" check_store_determinism "$CI_DIR"
     step "bench-gate" run_gate "$CI_DIR"
 }
 
@@ -164,6 +173,7 @@ recover)
     step "build (release, recover)" cargo build --release -p smdb-bench --bin recover --bin bench_gate
     mkdir -p "$CI_DIR"
     step "recover" run_recover "$CI_DIR"
+    step "recover-determinism" check_store_determinism "$CI_DIR"
     step "recover-gate" cargo run --release -q -p smdb-bench --bin bench_gate -- \
         --recovery BENCH_recovery.json "$CI_DIR/BENCH_recovery.json"
     echo "Recovery CI green."
@@ -181,6 +191,7 @@ bench-gate)
     step "soak" run_soak "$CI_DIR"
     step "soak-mt" run_soak_mt "$CI_DIR"
     step "recover" run_recover "$CI_DIR"
+    step "recover-determinism" check_store_determinism "$CI_DIR"
     if [[ "${2:-}" == "--update-baselines" ]]; then
         step "update-baselines" cp "$CI_DIR/BENCH_runtime.json" \
             "$CI_DIR/BENCH_tuning.json" "$CI_DIR/BENCH_multitenant.json" \

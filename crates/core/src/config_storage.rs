@@ -57,6 +57,26 @@ pub struct RollbackRecord {
     pub cause: String,
 }
 
+/// Fills `observed_after` of the most recent instance that still lacks
+/// it; `false` when none does. The live storage and WAL replay both
+/// complete instances through this one rule.
+pub(crate) fn complete_latest_instance(
+    instances: &mut [StoredInstance],
+    observed_after: Cost,
+) -> bool {
+    match instances
+        .iter_mut()
+        .rev()
+        .find(|i| i.observed_after.is_none())
+    {
+        Some(inst) => {
+            inst.observed_after = Some(observed_after);
+            true
+        }
+        None => false,
+    }
+}
+
 /// Thread-safe storage of applied configuration instances.
 #[derive(Debug, Default)]
 pub struct ConfigStorage {
@@ -88,14 +108,7 @@ impl ConfigStorage {
     /// Fills `observed_after` of the most recent instance that still
     /// lacks it (called once post-change KPIs are stable).
     pub fn complete_latest(&self, observed_after: Cost) -> bool {
-        let mut instances = self.instances.lock();
-        for inst in instances.iter_mut().rev() {
-            if inst.observed_after.is_none() {
-                inst.observed_after = Some(observed_after);
-                return true;
-            }
-        }
-        false
+        complete_latest_instance(&mut self.instances.lock(), observed_after)
     }
 
     /// A clone of all stored instances (most recent last).

@@ -22,7 +22,7 @@ use smdb_storage::ConfigInstance;
 
 use crate::config_storage::{ConfigStorage, RollbackRecord, StoredInstance};
 use crate::constraints::ConstraintSet;
-use crate::durability::{DurabilityManager, PendingReconfigState, RecoveredState, ServingState};
+use crate::durability::{DurabilityManager, PendingReconfig, RecoveredState, ServingState};
 use crate::executor::{ExecutionReport, Executor, SequentialExecutor};
 use crate::feature::FeatureKind;
 use crate::kpi::{KpiCollector, KpiSnapshot};
@@ -141,18 +141,6 @@ pub struct TuningState {
     pub actions_deferred: u64,
     /// Apply attempts that returned an error.
     pub apply_failures: u64,
-}
-
-/// A tuning whose actions the executor deferred: the context needed to
-/// store the configuration instance once the drain completes.
-#[derive(Debug)]
-struct PendingReconfig {
-    final_config: ConfigInstance,
-    actions: Vec<smdb_storage::ConfigAction>,
-    predicted_cost: Cost,
-    observed_before: Cost,
-    /// Reconfiguration cost accrued over completed slices.
-    accrued_cost: Cost,
 }
 
 #[derive(Debug, Default)]
@@ -612,10 +600,11 @@ impl Driver {
             .snapshot()
             .into_iter()
             .map(|e| {
+                let total_cost = e.total_cost();
                 (
                     e.example,
                     e.executions,
-                    e.total_cost,
+                    total_cost,
                     e.first_seen,
                     e.last_seen,
                 )
@@ -627,17 +616,7 @@ impl Driver {
         let history = self.history.lock().export_state();
         let last_bucket_cost = *self.last_bucket_cost.lock();
         let pending_actions = self.pending_actions.lock().clone();
-        let pending_reconfig =
-            self.pending_reconfig
-                .lock()
-                .as_ref()
-                .map(|pr| PendingReconfigState {
-                    final_config: smdb_storage::ConfigSnapshot::from(&pr.final_config),
-                    actions: pr.actions.clone(),
-                    predicted_cost: pr.predicted_cost,
-                    observed_before: pr.observed_before,
-                    accrued_cost: pr.accrued_cost,
-                });
+        let pending_reconfig = self.pending_reconfig.lock().clone();
         let c = &self.counters;
         let counters = [
             &c.buckets_closed,
@@ -768,13 +747,7 @@ impl Driver {
         }
         *self.last_bucket_cost.lock() = state.last_bucket_cost;
         *self.pending_actions.lock() = state.pending_actions.clone();
-        *self.pending_reconfig.lock() = state.pending_reconfig.as_ref().map(|p| PendingReconfig {
-            final_config: ConfigInstance::from(&p.final_config),
-            actions: p.actions.clone(),
-            predicted_cost: p.predicted_cost,
-            observed_before: p.observed_before,
-            accrued_cost: p.accrued_cost,
-        });
+        *self.pending_reconfig.lock() = state.pending_reconfig.clone();
         let [buckets, tunings, applied, deferred, failures] = state.counters;
         let c = &self.counters;
         for (counter, value) in [

@@ -8,7 +8,7 @@
 //! the latest valid snapshot, so a restart resumes with the *tuned*
 //! physical design instead of re-tuning from cold.
 //!
-//! WAL record bodies are tagged:
+//! WAL record bodies are [`WalEntry`] values, tagged:
 //!
 //! | tag | record              | written by                          |
 //! |-----|---------------------|-------------------------------------|
@@ -22,26 +22,33 @@
 //! *t+1*, so the WAL record order — like the decision trail — is
 //! deterministic for a given seed.
 //!
+//! A snapshot is one [`SnapshotPayload`] value. It records how many WAL
+//! records it covers; recovery skips those and replays the rest. The
+//! WAL itself is never truncated by a snapshot, so it grows for the
+//! whole run.
+//!
 //! Snapshot cadence is the durability layer's tunable: frequent
 //! snapshots shorten recovery (fewer records to replay — a lower RTO)
 //! but multiply write amplification, since each snapshot rewrites the
 //! full state the WAL describes incrementally. [`DurabilityStats`]
 //! surfaces both sides as KPIs.
+//!
+//! Every persisted type here has one [`Wire`] impl, in the codec section
+//! at the end of this file or next to its type in a lower crate.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use smdb_common::{ColumnId, Cost, Error, LogicalTime, Result, TableId};
-use smdb_durable::{ByteReader, ByteWriter, Persistence, SnapshotStore, Wal};
-use smdb_forecast::{TemplateHistory, WorkloadHistoryState};
+use smdb_common::{Cost, Error, LogicalTime, Result};
+use smdb_durable::codec::{of_tag, tag_of};
+use smdb_durable::{wire_struct, ByteReader, ByteWriter, Persistence, SnapshotStore, Wal, Wire};
+use smdb_forecast::WorkloadHistoryState;
 use smdb_query::{Query, SessionStats};
-use smdb_storage::persist as storage_persist;
-use smdb_storage::{
-    Aggregate, AggregateOp, ConfigAction, ConfigSnapshot, PredicateOp, ScanPredicate,
-    StorageEngine, Table, Value,
-};
+use smdb_storage::persist::RawTable;
+use smdb_storage::{ConfigAction, ConfigInstance, ConfigSnapshot, StorageEngine, Table};
 
-use crate::config_storage::{RollbackRecord, StoredInstance};
+use crate::config_storage::{complete_latest_instance, RollbackRecord, StoredInstance};
 use crate::feature::FeatureKind;
 use crate::kpi::KpiState;
 
@@ -181,10 +188,12 @@ impl DurabilityManager {
         self.state.lock().next_seq
     }
 
-    fn append(&self, body: &[u8]) -> Result<()> {
+    fn append(&self, entry: &WalEntry<'_>) -> Result<()> {
         let mut state = self.state.lock();
         let seq = state.next_seq;
-        let bytes = self.wal.append(self.persistence.as_ref(), seq, body)?;
+        let bytes = self
+            .wal
+            .append(self.persistence.as_ref(), seq, &entry.to_bytes())?;
         state.next_seq += 1;
         state.wal_records += 1;
         state.wal_bytes += bytes;
@@ -194,38 +203,26 @@ impl DurabilityManager {
 
     /// Logs a bucket-boundary serving state.
     pub fn log_boundary(&self, state: &ServingState) -> Result<()> {
-        let mut w = ByteWriter::new();
-        w.u8(TAG_BOUNDARY);
-        write_serving_state(&mut w, state);
-        self.append(&w.into_bytes())
+        self.append(&WalEntry::Boundary(Cow::Borrowed(state)))
     }
 
     /// Logs a newly stored configuration instance.
     pub fn log_instance_stored(&self, instance: &StoredInstance) -> Result<()> {
-        let mut w = ByteWriter::new();
-        w.u8(TAG_INSTANCE_STORED);
-        write_stored_instance(&mut w, instance);
-        self.append(&w.into_bytes())
+        self.append(&WalEntry::InstanceStored(Cow::Borrowed(instance)))
     }
 
     /// Logs the feedback loop completing the latest open instance.
     pub fn log_instance_completed(&self, observed_after: Cost) -> Result<()> {
-        let mut w = ByteWriter::new();
-        w.u8(TAG_INSTANCE_COMPLETED);
-        w.f64(observed_after.0);
-        self.append(&w.into_bytes())
+        self.append(&WalEntry::InstanceCompleted(observed_after))
     }
 
     /// Logs a rollback to the last good configuration.
     pub fn log_rollback(&self, record: &RollbackRecord) -> Result<()> {
-        let mut w = ByteWriter::new();
-        w.u8(TAG_ROLLBACK);
-        write_rollback_record(&mut w, record);
-        self.append(&w.into_bytes())
+        self.append(&WalEntry::Rollback(Cow::Borrowed(record)))
     }
 
-    /// Writes a full snapshot (version = `serving.bucket`) superseding
-    /// all WAL records so far. Returns `(wal_records_superseded, bytes)`.
+    /// Writes a full snapshot (version = `serving.bucket`) covering all
+    /// WAL records so far. Returns `(wal_records_covered, bytes)`.
     pub fn take_snapshot(
         &self,
         serving: &ServingState,
@@ -234,26 +231,21 @@ impl DurabilityManager {
         rollbacks: &[RollbackRecord],
     ) -> Result<(u64, u64)> {
         let wal_records = self.state.lock().next_seq;
-        let mut w = ByteWriter::new();
-        w.u8(SNAPSHOT_VERSION);
-        w.u64(wal_records);
-        write_serving_state(&mut w, serving);
-        let tables: Vec<&Table> = engine.tables().map(|(_, t)| t).collect();
-        w.usize(tables.len());
-        for table in tables {
-            storage_persist::write_table(&mut w, table)?;
-        }
-        w.usize(instances.len());
-        for inst in instances {
-            write_stored_instance(&mut w, inst);
-        }
-        w.usize(rollbacks.len());
-        for rb in rollbacks {
-            write_rollback_record(&mut w, rb);
-        }
-        let bytes =
-            self.snapshots
-                .write(self.persistence.as_ref(), serving.bucket, &w.into_bytes())?;
+        let payload = SnapshotPayload {
+            wal_records,
+            serving: Cow::Borrowed(serving),
+            tables: engine
+                .tables()
+                .map(|(_, t)| RawTable::of(t))
+                .collect::<Result<_>>()?,
+            instances: Cow::Borrowed(instances),
+            rollbacks: Cow::Borrowed(rollbacks),
+        };
+        let bytes = self.snapshots.write(
+            self.persistence.as_ref(),
+            serving.bucket,
+            &payload.to_bytes(),
+        )?;
         let mut state = self.state.lock();
         state.snapshots_taken += 1;
         state.snapshot_bytes += bytes;
@@ -291,30 +283,10 @@ pub fn recover(p: &dyn Persistence, _config: &DurabilityConfig) -> Result<Option
     let Some((_, payload)) = snapshots.latest_valid(p)? else {
         return Ok(None);
     };
-    let mut r = ByteReader::new(&payload);
-    let version = r.u8()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(Error::invalid(format!(
-            "unsupported snapshot version {version}"
-        )));
-    }
-    let wal_records_at_snapshot = r.u64()?;
-    let mut serving = read_serving_state(&mut r)?;
-    let n = r.usize()?;
-    let mut tables = Vec::with_capacity(n.min(1 << 10));
-    for _ in 0..n {
-        tables.push(storage_persist::read_table(&mut r)?);
-    }
-    let n = r.usize()?;
-    let mut instances = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        instances.push(read_stored_instance(&mut r)?);
-    }
-    let n = r.usize()?;
-    let mut rollbacks = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        rollbacks.push(read_rollback_record(&mut r)?);
-    }
+    let snapshot = SnapshotPayload::get(&mut ByteReader::new(&payload))?;
+    let mut serving = snapshot.serving.into_owned();
+    let mut instances = snapshot.instances.into_owned();
+    let mut rollbacks = snapshot.rollbacks.into_owned();
 
     // Replay the WAL tail over the snapshot: records the snapshot
     // already covers are skipped by sequence number.
@@ -322,10 +294,17 @@ pub fn recover(p: &dyn Persistence, _config: &DurabilityConfig) -> Result<Option
     let wal = smdb_durable::read_prefix(&raw);
     let mut replayed = 0u64;
     for record in &wal.records {
-        if record.seq < wal_records_at_snapshot {
+        if record.seq < snapshot.wal_records {
             continue;
         }
-        replay_record(&record.body, &mut serving, &mut instances, &mut rollbacks)?;
+        match WalEntry::get(&mut ByteReader::new(&record.body))? {
+            WalEntry::Boundary(state) => serving = state.into_owned(),
+            WalEntry::InstanceStored(inst) => instances.push(inst.into_owned()),
+            WalEntry::InstanceCompleted(after) => {
+                complete_latest_instance(&mut instances, after);
+            }
+            WalEntry::Rollback(rb) => rollbacks.push(rb.into_owned()),
+        }
         replayed += 1;
     }
     if wal.dropped_bytes > 0 {
@@ -335,7 +314,11 @@ pub fn recover(p: &dyn Persistence, _config: &DurabilityConfig) -> Result<Option
     }
     Ok(Some(RecoveredState {
         serving,
-        tables,
+        tables: snapshot
+            .tables
+            .into_iter()
+            .map(RawTable::into_table)
+            .collect::<Result<_>>()?,
         instances,
         rollbacks,
         replayed_records: replayed,
@@ -344,39 +327,12 @@ pub fn recover(p: &dyn Persistence, _config: &DurabilityConfig) -> Result<Option
     }))
 }
 
-fn replay_record(
-    body: &[u8],
-    serving: &mut ServingState,
-    instances: &mut Vec<StoredInstance>,
-    rollbacks: &mut Vec<RollbackRecord>,
-) -> Result<()> {
-    let mut r = ByteReader::new(body);
-    match r.u8()? {
-        TAG_BOUNDARY => *serving = read_serving_state(&mut r)?,
-        TAG_INSTANCE_STORED => instances.push(read_stored_instance(&mut r)?),
-        TAG_INSTANCE_COMPLETED => {
-            let after = Cost(r.f64()?);
-            // Mirror `ConfigStorage::complete_latest`.
-            if let Some(inst) = instances
-                .iter_mut()
-                .rev()
-                .find(|i| i.observed_after.is_none())
-            {
-                inst.observed_after = Some(after);
-            }
-        }
-        TAG_ROLLBACK => rollbacks.push(read_rollback_record(&mut r)?),
-        other => return Err(Error::invalid(format!("unknown WAL record tag {other}"))),
-    }
-    Ok(())
-}
-
-/// A deferred tuning's context, flattened for serialization (the
-/// driver-internal form holds the same fields).
+/// A deferred tuning being drained slice by slice: what the driver
+/// holds between barriers and a boundary record carries.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PendingReconfigState {
+pub struct PendingReconfig {
     /// The configuration once the drain completes.
-    pub final_config: ConfigSnapshot,
+    pub final_config: ConfigInstance,
     /// The full action list of the tuning.
     pub actions: Vec<ConfigAction>,
     /// Predicted workload cost after the change.
@@ -415,493 +371,161 @@ pub struct ServingState {
     /// Actions still queued for barrier drains.
     pub pending_actions: Vec<ConfigAction>,
     /// In-flight deferred tuning, if any.
-    pub pending_reconfig: Option<PendingReconfigState>,
+    pub pending_reconfig: Option<PendingReconfig>,
     /// Driver counters: buckets_closed, tunings_run, actions_applied,
     /// actions_deferred, apply_failures.
     pub counters: [u64; 5],
+}
+
+/// One WAL record body: its tag, then the payload. Logged from
+/// borrowed live state, decoded owned.
+// An entry lives for one append or one replay step, so the size of an
+// owned boundary is not worth a box.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+pub enum WalEntry<'a> {
+    /// The serving state after a bucket barrier.
+    Boundary(Cow<'a, ServingState>),
+    /// A newly stored configuration instance.
+    InstanceStored(Cow<'a, StoredInstance>),
+    /// The observed cost that completes the latest open instance.
+    InstanceCompleted(Cost),
+    /// A rollback to the last good configuration.
+    Rollback(Cow<'a, RollbackRecord>),
+}
+
+/// A snapshot blob's payload: the format version, then these fields in
+/// order. `take_snapshot` writes it from live state (tables decoded to
+/// raw columns, the rest borrowed) and `recover` reads it back owned.
+#[derive(Debug, Clone)]
+pub struct SnapshotPayload<'a> {
+    /// WAL records the snapshot covers; replay starts at this sequence.
+    pub wal_records: u64,
+    /// The serving state at the snapshot's boundary.
+    pub serving: Cow<'a, ServingState>,
+    /// Raw tables, in id order.
+    pub tables: Vec<RawTable>,
+    /// Stored configuration instances.
+    pub instances: Cow<'a, [StoredInstance]>,
+    /// Recorded rollbacks.
+    pub rollbacks: Cow<'a, [RollbackRecord]>,
 }
 
 // ---------------------------------------------------------------------
 // Codec
 // ---------------------------------------------------------------------
 
-fn write_value(w: &mut ByteWriter, v: &Value) {
-    match v {
-        Value::Int(x) => {
-            w.u8(0);
-            w.i64(*x);
-        }
-        Value::Float(x) => {
-            w.u8(1);
-            w.f64(*x);
-        }
-        Value::Text(s) => {
-            w.u8(2);
-            w.str(s);
-        }
-    }
-}
-
-fn read_value(r: &mut ByteReader) -> Result<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Int(r.i64()?),
-        1 => Value::Float(r.f64()?),
-        2 => Value::Text(r.str()?),
-        other => return Err(Error::invalid(format!("unknown value tag {other}"))),
-    })
-}
-
-fn write_predicate(w: &mut ByteWriter, p: &ScanPredicate) {
-    w.u32(u32::from(p.column.0));
-    w.u8(match p.op {
-        PredicateOp::Eq => 0,
-        PredicateOp::Lt => 1,
-        PredicateOp::Le => 2,
-        PredicateOp::Gt => 3,
-        PredicateOp::Ge => 4,
-        PredicateOp::Between => 5,
-    });
-    write_value(w, &p.value);
-    match &p.upper {
-        Some(upper) => {
-            w.bool(true);
-            write_value(w, upper);
-        }
-        None => w.bool(false),
-    }
-}
-
-fn read_predicate(r: &mut ByteReader) -> Result<ScanPredicate> {
-    let column =
-        ColumnId(u16::try_from(r.u32()?).map_err(|_| Error::invalid("column id overflow"))?);
-    let op = match r.u8()? {
-        0 => PredicateOp::Eq,
-        1 => PredicateOp::Lt,
-        2 => PredicateOp::Le,
-        3 => PredicateOp::Gt,
-        4 => PredicateOp::Ge,
-        5 => PredicateOp::Between,
-        other => return Err(Error::invalid(format!("unknown predicate op {other}"))),
-    };
-    let value = read_value(r)?;
-    let upper = if r.bool()? {
-        Some(read_value(r)?)
-    } else {
-        None
-    };
-    Ok(ScanPredicate {
-        column,
-        op,
-        value,
-        upper,
-    })
-}
-
-fn write_query(w: &mut ByteWriter, q: &Query) {
-    w.u32(q.table().0);
-    w.str(q.table_name());
-    w.usize(q.predicates().len());
-    for p in q.predicates() {
-        write_predicate(w, p);
-    }
-    match q.aggregate() {
-        Some(agg) => {
-            w.bool(true);
-            w.u8(match agg.op {
-                AggregateOp::Count => 0,
-                AggregateOp::Sum => 1,
-                AggregateOp::Avg => 2,
-                AggregateOp::Min => 3,
-                AggregateOp::Max => 4,
-            });
-            w.u32(u32::from(agg.column.0));
-        }
-        None => w.bool(false),
-    }
-    match q.group_by() {
-        Some(col) => {
-            w.bool(true);
-            w.u32(u32::from(col.0));
-        }
-        None => w.bool(false),
-    }
-    w.str(q.label());
-}
-
-fn read_query(r: &mut ByteReader) -> Result<Query> {
-    let table = TableId(r.u32()?);
-    let table_name = r.str()?;
-    let n = r.usize()?;
-    let mut predicates = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        predicates.push(read_predicate(r)?);
-    }
-    let aggregate = if r.bool()? {
-        let op = match r.u8()? {
-            0 => AggregateOp::Count,
-            1 => AggregateOp::Sum,
-            2 => AggregateOp::Avg,
-            3 => AggregateOp::Min,
-            4 => AggregateOp::Max,
-            other => return Err(Error::invalid(format!("unknown aggregate op {other}"))),
-        };
-        let column =
-            ColumnId(u16::try_from(r.u32()?).map_err(|_| Error::invalid("column id overflow"))?);
-        Some(Aggregate { op, column })
-    } else {
-        None
-    };
-    let group_by = if r.bool()? {
-        Some(ColumnId(
-            u16::try_from(r.u32()?).map_err(|_| Error::invalid("column id overflow"))?,
-        ))
-    } else {
-        None
-    };
-    let label = r.str()?;
-    let mut q = Query::new(table, table_name, predicates, aggregate, label);
-    if let Some(col) = group_by {
-        q = q.with_group_by(col);
-    }
-    Ok(q)
-}
-
-fn write_feature(w: &mut ByteWriter, f: Option<FeatureKind>) {
-    match f {
-        None => w.u8(0),
-        Some(FeatureKind::Indexing) => w.u8(1),
-        Some(FeatureKind::Compression) => w.u8(2),
-        Some(FeatureKind::Placement) => w.u8(3),
-        Some(FeatureKind::BufferPool) => w.u8(4),
-    }
-}
-
-fn read_feature(r: &mut ByteReader) -> Result<Option<FeatureKind>> {
-    Ok(match r.u8()? {
-        0 => None,
-        1 => Some(FeatureKind::Indexing),
-        2 => Some(FeatureKind::Compression),
-        3 => Some(FeatureKind::Placement),
-        4 => Some(FeatureKind::BufferPool),
-        other => return Err(Error::invalid(format!("unknown feature tag {other}"))),
-    })
-}
-
-fn write_stored_instance(w: &mut ByteWriter, inst: &StoredInstance) {
-    w.u64(inst.applied_at.raw());
-    write_feature(w, inst.feature);
-    storage_persist::write_config_snapshot(w, &ConfigSnapshot::from(&inst.config));
-    storage_persist::write_actions(w, &inst.actions);
-    w.f64(inst.predicted_cost.0);
-    w.f64(inst.reconfiguration_cost.0);
-    w.f64(inst.observed_before.0);
-    w.opt_f64(inst.observed_after.map(|c| c.0));
-}
-
-fn read_stored_instance(r: &mut ByteReader) -> Result<StoredInstance> {
-    Ok(StoredInstance {
-        applied_at: LogicalTime(r.u64()?),
-        feature: read_feature(r)?,
-        config: (&storage_persist::read_config_snapshot(r)?).into(),
-        actions: storage_persist::read_actions(r)?,
-        predicted_cost: Cost(r.f64()?),
-        reconfiguration_cost: Cost(r.f64()?),
-        observed_before: Cost(r.f64()?),
-        observed_after: r.opt_f64()?.map(Cost),
-    })
-}
-
-fn write_rollback_record(w: &mut ByteWriter, rb: &RollbackRecord) {
-    w.u64(rb.at.raw());
-    storage_persist::write_actions(w, &rb.abandoned_actions);
-    storage_persist::write_config_snapshot(w, &ConfigSnapshot::from(&rb.restored_config));
-    w.str(&rb.cause);
-}
-
-fn read_rollback_record(r: &mut ByteReader) -> Result<RollbackRecord> {
-    Ok(RollbackRecord {
-        at: LogicalTime(r.u64()?),
-        abandoned_actions: storage_persist::read_actions(r)?,
-        restored_config: (&storage_persist::read_config_snapshot(r)?).into(),
-        cause: r.str()?,
-    })
-}
-
-fn write_session_stats(w: &mut ByteWriter, s: &SessionStats) {
-    w.u64(s.session_id);
-    w.u64(s.queries);
-    w.u64(s.errors);
-    w.u64(s.wrong_results);
-    w.f64(s.busy.0);
-    w.u64(s.morsels);
-    w.u64(s.result_digest);
-}
-
-fn read_session_stats(r: &mut ByteReader) -> Result<SessionStats> {
-    Ok(SessionStats {
-        session_id: r.u64()?,
-        queries: r.u64()?,
-        errors: r.u64()?,
-        wrong_results: r.u64()?,
-        busy: Cost(r.f64()?),
-        morsels: r.u64()?,
-        result_digest: r.u64()?,
-    })
-}
-
-fn write_kpi_state(w: &mut ByteWriter, k: &KpiState) {
-    w.usize(k.closed.len());
-    for bucket in &k.closed {
-        w.usize(bucket.len());
-        for &x in bucket {
-            w.f64(x);
+impl Wire for WalEntry<'_> {
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            WalEntry::Boundary(state) => {
+                TAG_BOUNDARY.put(w);
+                state.put(w);
+            }
+            WalEntry::InstanceStored(inst) => {
+                TAG_INSTANCE_STORED.put(w);
+                inst.put(w);
+            }
+            WalEntry::InstanceCompleted(after) => {
+                TAG_INSTANCE_COMPLETED.put(w);
+                after.put(w);
+            }
+            WalEntry::Rollback(rb) => {
+                TAG_ROLLBACK.put(w);
+                rb.put(w);
+            }
         }
     }
-    w.usize(k.utilization.len());
-    for &x in &k.utilization {
-        w.f64(x);
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match u8::get(r)? {
+            TAG_BOUNDARY => WalEntry::Boundary(Wire::get(r)?),
+            TAG_INSTANCE_STORED => WalEntry::InstanceStored(Wire::get(r)?),
+            TAG_INSTANCE_COMPLETED => WalEntry::InstanceCompleted(Wire::get(r)?),
+            TAG_ROLLBACK => WalEntry::Rollback(Wire::get(r)?),
+            other => return Err(Error::invalid(format!("unknown WAL record tag {other}"))),
+        })
     }
-    w.usize(k.memory.len());
-    for &x in &k.memory {
-        w.usize(x);
-    }
-    w.usize(k.bucket_queries.len());
-    for &x in &k.bucket_queries {
-        w.u64(x);
-    }
-    w.u64(k.queries_total);
-    w.bool(k.utilization_stale);
 }
 
-fn read_kpi_state(r: &mut ByteReader) -> Result<KpiState> {
-    let n = r.usize()?;
-    let mut closed = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        let m = r.usize()?;
-        let mut bucket = Vec::with_capacity(m.min(1 << 16));
-        for _ in 0..m {
-            bucket.push(r.f64()?);
+impl Wire for SnapshotPayload<'_> {
+    fn put(&self, w: &mut ByteWriter) {
+        SNAPSHOT_VERSION.put(w);
+        self.wal_records.put(w);
+        self.serving.put(w);
+        self.tables.put(w);
+        self.instances.put(w);
+        self.rollbacks.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let version = u8::get(r)?;
+        if version != SNAPSHOT_VERSION {
+            return Err(Error::invalid(format!(
+                "unsupported snapshot version {version}"
+            )));
         }
-        closed.push(bucket);
-    }
-    let n = r.usize()?;
-    let mut utilization = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        utilization.push(r.f64()?);
-    }
-    let n = r.usize()?;
-    let mut memory = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        memory.push(r.usize()?);
-    }
-    let n = r.usize()?;
-    let mut bucket_queries = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        bucket_queries.push(r.u64()?);
-    }
-    Ok(KpiState {
-        closed,
-        utilization,
-        memory,
-        bucket_queries,
-        queries_total: r.u64()?,
-        utilization_stale: r.bool()?,
-    })
-}
-
-fn write_history_state(w: &mut ByteWriter, h: &WorkloadHistoryState) {
-    w.usize(h.templates.len());
-    for (fp, th) in &h.templates {
-        w.u64(*fp);
-        write_query(w, &th.example);
-        w.usize(th.buckets.len());
-        for (&bucket, &count) in &th.buckets {
-            w.u64(bucket);
-            w.f64(count);
-        }
-        w.f64(th.mean_cost.0);
-        w.f64(th.total);
-    }
-    w.usize(h.last_totals.len());
-    for &(fp, exec, cost) in &h.last_totals {
-        w.u64(fp);
-        w.u64(exec);
-        w.f64(cost.0);
-    }
-    match h.span {
-        Some((lo, hi)) => {
-            w.bool(true);
-            w.u64(lo);
-            w.u64(hi);
-        }
-        None => w.bool(false),
+        Ok(SnapshotPayload {
+            wal_records: Wire::get(r)?,
+            serving: Wire::get(r)?,
+            tables: Wire::get(r)?,
+            instances: Wire::get(r)?,
+            rollbacks: Wire::get(r)?,
+        })
     }
 }
 
-fn read_history_state(r: &mut ByteReader) -> Result<WorkloadHistoryState> {
-    let n = r.usize()?;
-    let mut templates = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let fp = r.u64()?;
-        let example = read_query(r)?;
-        let m = r.usize()?;
-        let mut buckets = std::collections::BTreeMap::new();
-        for _ in 0..m {
-            let bucket = r.u64()?;
-            let count = r.f64()?;
-            buckets.insert(bucket, count);
-        }
-        let mean_cost = Cost(r.f64()?);
-        let total = r.f64()?;
-        templates.push((
-            fp,
-            TemplateHistory {
-                example,
-                buckets,
-                mean_cost,
-                total,
-            },
-        ));
-    }
-    let n = r.usize()?;
-    let mut last_totals = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let fp = r.u64()?;
-        let exec = r.u64()?;
-        let cost = Cost(r.f64()?);
-        last_totals.push((fp, exec, cost));
-    }
-    let span = if r.bool()? {
-        let lo = r.u64()?;
-        let hi = r.u64()?;
-        Some((lo, hi))
-    } else {
-        None
-    };
-    Ok(WorkloadHistoryState {
-        templates,
-        last_totals,
-        span,
-    })
-}
+/// A stored instance's `feature` is one byte: its position in this
+/// list, so 0 means "no feature" (not a presence byte plus a tag).
+const FEATURE_TAGS: [Option<FeatureKind>; 5] = [
+    None,
+    Some(FeatureKind::Indexing),
+    Some(FeatureKind::Compression),
+    Some(FeatureKind::Placement),
+    Some(FeatureKind::BufferPool),
+];
 
-fn write_pending_reconfig(w: &mut ByteWriter, p: &PendingReconfigState) {
-    storage_persist::write_config_snapshot(w, &p.final_config);
-    storage_persist::write_actions(w, &p.actions);
-    w.f64(p.predicted_cost.0);
-    w.f64(p.observed_before.0);
-    w.f64(p.accrued_cost.0);
-}
-
-fn read_pending_reconfig(r: &mut ByteReader) -> Result<PendingReconfigState> {
-    Ok(PendingReconfigState {
-        final_config: storage_persist::read_config_snapshot(r)?,
-        actions: storage_persist::read_actions(r)?,
-        predicted_cost: Cost(r.f64()?),
-        observed_before: Cost(r.f64()?),
-        accrued_cost: Cost(r.f64()?),
-    })
-}
-
-fn write_serving_state(w: &mut ByteWriter, s: &ServingState) {
-    w.u64(s.bucket);
-    write_session_stats(w, &s.stats);
-    w.u64(s.clock);
-    storage_persist::write_config_snapshot(w, &s.config);
-    write_kpi_state(w, &s.kpi);
-    write_history_state(w, &s.history);
-    w.usize(s.plan_cache.len());
-    for (example, executions, total_cost, first_seen, last_seen) in &s.plan_cache {
-        write_query(w, example);
-        w.u64(*executions);
-        w.f64(total_cost.0);
-        w.u64(first_seen.raw());
-        w.u64(last_seen.raw());
+impl Wire for StoredInstance {
+    fn put(&self, w: &mut ByteWriter) {
+        self.applied_at.put(w);
+        tag_of(&FEATURE_TAGS, &self.feature).put(w);
+        self.config.put(w);
+        self.actions.put(w);
+        self.predicted_cost.put(w);
+        self.reconfiguration_cost.put(w);
+        self.observed_before.put(w);
+        self.observed_after.put(w);
     }
-    w.opt_u64(s.organizer_last_tuning);
-    w.bool(s.organizer_paused);
-    w.f64(s.last_bucket_cost.0);
-    storage_persist::write_actions(w, &s.pending_actions);
-    match &s.pending_reconfig {
-        Some(p) => {
-            w.bool(true);
-            write_pending_reconfig(w, p);
-        }
-        None => w.bool(false),
-    }
-    for &c in &s.counters {
-        w.u64(c);
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(StoredInstance {
+            applied_at: Wire::get(r)?,
+            feature: of_tag(&FEATURE_TAGS, u8::get(r)?, "feature")?,
+            config: Wire::get(r)?,
+            actions: Wire::get(r)?,
+            predicted_cost: Wire::get(r)?,
+            reconfiguration_cost: Wire::get(r)?,
+            observed_before: Wire::get(r)?,
+            observed_after: Wire::get(r)?,
+        })
     }
 }
 
-fn read_serving_state(r: &mut ByteReader) -> Result<ServingState> {
-    let bucket = r.u64()?;
-    let stats = read_session_stats(r)?;
-    let clock = r.u64()?;
-    let config = storage_persist::read_config_snapshot(r)?;
-    let kpi = read_kpi_state(r)?;
-    let history = read_history_state(r)?;
-    let n = r.usize()?;
-    let mut plan_cache = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let example = read_query(r)?;
-        let executions = r.u64()?;
-        let total_cost = Cost(r.f64()?);
-        let first_seen = LogicalTime(r.u64()?);
-        let last_seen = LogicalTime(r.u64()?);
-        plan_cache.push((example, executions, total_cost, first_seen, last_seen));
-    }
-    let organizer_last_tuning = r.opt_u64()?;
-    let organizer_paused = r.bool()?;
-    let last_bucket_cost = Cost(r.f64()?);
-    let pending_actions = storage_persist::read_actions(r)?;
-    let pending_reconfig = if r.bool()? {
-        Some(read_pending_reconfig(r)?)
-    } else {
-        None
-    };
-    let mut counters = [0u64; 5];
-    for c in &mut counters {
-        *c = r.u64()?;
-    }
-    Ok(ServingState {
-        bucket,
-        stats,
-        clock,
-        config,
-        kpi,
-        history,
-        plan_cache,
-        organizer_last_tuning,
-        organizer_paused,
-        last_bucket_cost,
-        pending_actions,
-        pending_reconfig,
-        counters,
-    })
-}
+wire_struct!(RollbackRecord: at, abandoned_actions, restored_config, cause);
 
-/// Encodes one serving state (test/bench helper; the manager frames it
-/// into WAL records internally).
-pub fn encode_serving_state(state: &ServingState) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_serving_state(&mut w, state);
-    w.into_bytes()
-}
+wire_struct!(KpiState: closed, utilization, memory, bucket_queries, queries_total,
+    utilization_stale);
 
-/// Decodes a serving state encoded by [`encode_serving_state`].
-pub fn decode_serving_state(bytes: &[u8]) -> Result<ServingState> {
-    let mut r = ByteReader::new(bytes);
-    let state = read_serving_state(&mut r)?;
-    Ok(state)
-}
+wire_struct!(PendingReconfig: final_config, actions, predicted_cost, observed_before, accrued_cost);
+
+wire_struct!(ServingState: bucket, stats, clock, config, kpi, history, plan_cache,
+    organizer_last_tuning, organizer_paused, last_bucket_cost, pending_actions,
+    pending_reconfig, counters);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smdb_common::ChunkColumnRef;
+    use smdb_common::{ChunkColumnRef, ColumnId, LogicalTime, TableId};
     use smdb_durable::MemPersistence;
-    use smdb_storage::ConfigInstance;
+    use smdb_forecast::TemplateHistory;
+    use smdb_storage::{Aggregate, AggregateOp, PredicateOp, ScanPredicate, Value};
 
     fn sample_query() -> Query {
         Query::new(
@@ -1000,8 +624,8 @@ mod tests {
                 knob: smdb_storage::KnobKind::BufferPoolMb,
                 value: 96.0,
             }],
-            pending_reconfig: Some(PendingReconfigState {
-                final_config: ConfigSnapshot::from(&ConfigInstance::default()),
+            pending_reconfig: Some(PendingReconfig {
+                final_config: ConfigInstance::default(),
                 actions: vec![],
                 predicted_cost: Cost(9.0),
                 observed_before: Cost(11.0),
@@ -1014,9 +638,9 @@ mod tests {
     #[test]
     fn serving_state_roundtrips_byte_identically() {
         let state = sample_state();
-        let bytes = encode_serving_state(&state);
-        let back = decode_serving_state(&bytes).unwrap();
-        assert_eq!(encode_serving_state(&back), bytes);
+        let bytes = state.to_bytes();
+        let back = ServingState::get(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(back.to_bytes(), bytes);
         assert_eq!(back.stats.result_digest, state.stats.result_digest);
         assert_eq!(back.plan_cache.len(), 1);
         assert_eq!(
@@ -1025,6 +649,22 @@ mod tests {
             "recomputed fingerprints must match"
         );
         assert_eq!(back.counters, state.counters);
+    }
+
+    #[test]
+    fn feature_is_one_byte_with_zero_for_none() {
+        let mut inst = sample_instance();
+        for (tag, feature) in FEATURE_TAGS.into_iter().enumerate() {
+            inst.feature = feature;
+            let bytes = inst.to_bytes();
+            assert_eq!(bytes[8], tag as u8);
+            let back = StoredInstance::get(&mut ByteReader::new(&bytes)).unwrap();
+            assert_eq!(back.feature, feature);
+        }
+        let mut bytes = inst.to_bytes();
+        bytes[8] = 5;
+        assert!(StoredInstance::get(&mut ByteReader::new(&bytes)).is_err());
+        assert_eq!(FEATURE_TAGS[1..].len(), FeatureKind::ALL.len());
     }
 
     #[test]
@@ -1058,13 +698,9 @@ mod tests {
         assert_eq!(rec.rollbacks.len(), 1);
         assert_eq!(rec.rollbacks[0].cause, "test");
         // Instance round-trips byte-identically.
-        let mut w = ByteWriter::new();
-        write_stored_instance(&mut w, &rec.instances[0]);
         let mut expected = sample_instance();
         expected.observed_after = Some(Cost(12.5));
-        let mut w2 = ByteWriter::new();
-        write_stored_instance(&mut w2, &expected);
-        assert_eq!(w.into_bytes(), w2.into_bytes());
+        assert_eq!(rec.instances[0].to_bytes(), expected.to_bytes());
     }
 
     #[test]
@@ -1121,6 +757,43 @@ mod tests {
         let with_snap = manager.stats();
         assert_eq!(with_snap.snapshots_taken, 1);
         assert!(with_snap.write_amplification > 1.0);
+    }
+
+    #[test]
+    fn malformed_table_fails_the_snapshot_before_writing() {
+        use smdb_storage::chunk::Chunk;
+        use smdb_storage::value::ColumnValues;
+        use smdb_storage::{ColumnDef, DataType, Schema};
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", DataType::Int),
+            ColumnDef::new("v", DataType::Float),
+        ])
+        .unwrap();
+        let columns = vec![
+            ColumnValues::Int((0..8).collect()),
+            ColumnValues::Float((0..8).map(f64::from).collect()),
+        ];
+        let missing = vec![ColumnValues::Int(vec![4, 5, 6, 7])];
+        let mistyped = vec![
+            ColumnValues::Float(vec![4.0]),
+            ColumnValues::Float(vec![4.0]),
+        ];
+        for bad_chunk in [missing, mistyped] {
+            let mut table = Table::from_columns("t", schema.clone(), columns.clone(), 4).unwrap();
+            *table.chunk_mut(smdb_common::ChunkId(1)).unwrap() =
+                Chunk::from_columns(bad_chunk).unwrap();
+            let mut engine = StorageEngine::default();
+            engine.create_table(table).unwrap();
+            let p: Arc<dyn Persistence> = Arc::new(MemPersistence::new());
+            let manager = DurabilityManager::new(Arc::clone(&p), DurabilityConfig::default());
+            assert!(manager
+                .take_snapshot(&sample_state(), &engine, &[], &[])
+                .is_err());
+            assert_eq!(manager.stats().snapshots_taken, 0);
+            assert!(recover(p.as_ref(), &DurabilityConfig::default())
+                .unwrap()
+                .is_none());
+        }
     }
 
     #[test]

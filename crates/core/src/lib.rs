@@ -49,8 +49,8 @@ pub use driver::{
     TuningRunReport, TuningState, TuningTick,
 };
 pub use durability::{
-    recover, DurabilityConfig, DurabilityManager, DurabilityStats, PendingReconfigState,
-    RecoveredState, ServingState,
+    recover, DurabilityConfig, DurabilityManager, DurabilityStats, PendingReconfig, RecoveredState,
+    ServingState,
 };
 pub use enumerator::Enumerator;
 pub use executor::{ExecutionReport, ExecutionStrategy, Executor, SequentialExecutor};

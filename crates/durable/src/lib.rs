@@ -3,7 +3,10 @@
 //! The reproduction is in-memory; this crate makes the *tuned state*
 //! survive a restart (ROADMAP open item 2). It deliberately knows
 //! nothing about tables, configurations or the Driver — higher layers
-//! encode their state into byte blobs with [`codec`] and hand them to:
+//! encode their state into byte blobs with [`codec`] and hand them to
+//! the stores below. Each persisted type has exactly one encoding: its
+//! [`Wire`] impl, whose `put` and `get` state the field order once
+//! (usually through [`wire_struct!`] or [`wire_tags!`]).
 //!
 //! * [`persist`] — the [`persist::Persistence`] trait (append / read /
 //!   write-atomic / list / remove over named blobs) with a directory
@@ -28,7 +31,7 @@ pub mod persist;
 pub mod snapshot;
 pub mod wal;
 
-pub use codec::{ByteReader, ByteWriter};
+pub use codec::{ByteReader, ByteWriter, Wire};
 pub use fault::{TornWriteKind, TornWritePersistence, TornWritePlan};
 pub use persist::{DirPersistence, MemPersistence, Persistence};
 pub use snapshot::SnapshotStore;

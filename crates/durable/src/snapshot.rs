@@ -9,7 +9,7 @@
 
 use smdb_common::{Error, Result};
 
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::{ByteReader, Wire};
 use crate::persist::Persistence;
 use crate::wal::crc32;
 
@@ -37,9 +37,7 @@ impl SnapshotStore {
     /// Writes snapshot `version` atomically. Returns the stored size in
     /// bytes (payload plus checksum header).
     pub fn write(&self, p: &dyn Persistence, version: u64, payload: &[u8]) -> Result<u64> {
-        let mut w = ByteWriter::new();
-        w.u32(crc32(payload));
-        let mut blob = w.into_bytes();
+        let mut blob = crc32(payload).to_bytes();
         blob.extend_from_slice(payload);
         let len = blob.len() as u64;
         p.write_atomic(&self.blob_name(version), &blob)?;
@@ -71,7 +69,7 @@ impl SnapshotStore {
             return Ok(None);
         };
         let mut r = ByteReader::new(&blob);
-        let Ok(declared) = r.u32() else {
+        let Ok(declared) = u32::get(&mut r) else {
             return Ok(None);
         };
         let payload = &blob[4..];

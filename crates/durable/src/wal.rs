@@ -21,7 +21,7 @@
 
 use smdb_common::Result;
 
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::{ByteReader, Wire};
 use crate::persist::Persistence;
 
 /// Upper bound on a single record's payload; anything larger is treated
@@ -86,14 +86,9 @@ impl Wal {
     /// The caller owns sequence numbering (`seq` must increase by 1 per
     /// append; the reader enforces it).
     pub fn append(&self, p: &dyn Persistence, seq: u64, body: &[u8]) -> Result<u64> {
-        let mut payload = ByteWriter::new();
-        payload.u64(seq);
-        let mut payload = payload.into_bytes();
+        let mut payload = seq.to_bytes();
         payload.extend_from_slice(body);
-        let mut frame = ByteWriter::new();
-        frame.u32(payload.len() as u32);
-        frame.u32(crc32(&payload));
-        let mut frame = frame.into_bytes();
+        let mut frame = (payload.len() as u32, crc32(&payload)).to_bytes();
         frame.extend_from_slice(&payload);
         let len = frame.len() as u64;
         p.append(&self.name, &frame)?;
@@ -134,23 +129,29 @@ pub fn read_prefix(data: &[u8]) -> WalReadResult {
     }
 }
 
+/// The payload length and declared checksum of the frame at the head of
+/// `data`, or `None` when the header is truncated or the length does
+/// not fit the remaining bytes and the sanity cap.
+fn frame_header(data: &[u8]) -> Option<(usize, u32)> {
+    let mut r = ByteReader::new(data);
+    let (len, crc) = <(u32, u32)>::get(&mut r).ok()?;
+    if len > MAX_RECORD_BYTES || (len as usize) > r.remaining() || len < 8 {
+        return None;
+    }
+    Some((len as usize, crc))
+}
+
 /// Parses one frame (length + checksum + sequenced payload) at the head
 /// of `data`. Returns `(bytes_consumed, seq, body)` or `None` when the
 /// frame is truncated, oversized, or fails its checksum.
 fn parse_frame(data: &[u8]) -> Option<(usize, u64, Vec<u8>)> {
-    let mut r = ByteReader::new(data);
-    let len = r.u32().ok()?;
-    let declared_crc = r.u32().ok()?;
-    if len > MAX_RECORD_BYTES || (len as usize) > r.remaining() || len < 8 {
-        return None;
-    }
-    let payload = &data[8..8 + len as usize];
+    let (len, declared_crc) = frame_header(data)?;
+    let payload = &data[8..8 + len];
     if crc32(payload) != declared_crc {
         return None;
     }
-    let mut pr = ByteReader::new(payload);
-    let seq = pr.u64().ok()?;
-    Some((8 + len as usize, seq, payload[8..].to_vec()))
+    let seq = u64::get(&mut ByteReader::new(payload)).ok()?;
+    Some((8 + len, seq, payload[8..].to_vec()))
 }
 
 /// Counts how many records the discarded suffix plausibly held: frames
@@ -160,18 +161,11 @@ fn parse_frame(data: &[u8]) -> Option<(usize, u64, Vec<u8>)> {
 fn count_dropped(mut data: &[u8]) -> u64 {
     let mut dropped = 0u64;
     while !data.is_empty() {
-        let mut r = ByteReader::new(data);
-        let Ok(len) = r.u32() else {
+        let Some((len, _)) = frame_header(data) else {
             return dropped + 1;
         };
-        if r.u32().is_err() {
-            return dropped + 1;
-        }
-        if len > MAX_RECORD_BYTES || (len as usize) > r.remaining() || len < 8 {
-            return dropped + 1;
-        }
         dropped += 1;
-        data = &data[8 + len as usize..];
+        data = &data[8 + len..];
     }
     dropped
 }
@@ -268,10 +262,8 @@ mod tests {
         assert_eq!(r.dropped_records, 1);
 
         let p = MemPersistence::new();
-        let mut w = ByteWriter::new();
-        w.u32(u32::MAX); // absurd length
-        w.u32(0);
-        p.append("wal.log", &w.into_bytes()).unwrap();
+        // An absurd length, then a zero checksum.
+        p.append("wal.log", &(u32::MAX, 0u32).to_bytes()).unwrap();
         let r = Wal::new("wal.log").read(&p).unwrap();
         assert!(r.records.is_empty());
         assert_eq!(r.dropped_records, 1);

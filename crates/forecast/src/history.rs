@@ -24,6 +24,8 @@ pub struct TemplateHistory {
     pub total: f64,
 }
 
+smdb_storage::persist::wire_struct!(TemplateHistory: example, buckets, mean_cost, total);
+
 impl TemplateHistory {
     /// Dense count series covering buckets `[from, to)` (zeros filled).
     pub fn series(&self, from: u64, to: u64) -> Vec<f64> {
@@ -61,9 +63,9 @@ impl WorkloadHistory {
                 .copied()
                 .unwrap_or((0, Cost::ZERO));
             let delta_exec = entry.executions.saturating_sub(prev_exec);
-            let delta_cost = entry.total_cost - prev_cost;
+            let delta_cost = entry.total_cost() - prev_cost;
             self.last_totals
-                .insert(fp, (entry.executions, entry.total_cost));
+                .insert(fp, (entry.executions, entry.total_cost()));
 
             let hist = self.templates.entry(fp).or_insert_with(|| TemplateHistory {
                 example: entry.example.clone(),
@@ -160,6 +162,8 @@ pub struct WorkloadHistoryState {
     /// First and last observed bucket.
     pub span: Option<(u64, u64)>,
 }
+
+smdb_storage::persist::wire_struct!(WorkloadHistoryState: templates, last_totals, span);
 
 #[cfg(test)]
 mod tests {

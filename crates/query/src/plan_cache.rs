@@ -28,7 +28,8 @@ pub struct PlanCacheEntry {
     /// Content hash of `example` (see [`example_rank`]).
     example_rank: u64,
     pub executions: u64,
-    pub total_cost: Cost,
+    /// Summed cost as a count of [`COST_QUANTUM`]s (see there).
+    cost_quanta: i64,
     pub first_seen: LogicalTime,
     pub last_seen: LogicalTime,
 }
@@ -74,13 +75,32 @@ fn example_rank(query: &Query) -> u64 {
     h
 }
 
+/// The resolution of a template's summed cost, 2^-24. Each recorded
+/// cost is rounded to a whole number of quanta and the counts are added
+/// as integers, so the total does not depend on the order concurrent
+/// workers record in (floating-point addition is not associative:
+/// `0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1`). Totals below 2^29 are exact
+/// as `f64`, so a persisted `total_cost` restores the same count and a
+/// resumed run keeps adding bit-identically.
+const COST_QUANTUM: f64 = 1.0 / (1u64 << 24) as f64;
+
+/// `cost` as a whole number of [`COST_QUANTUM`]s (saturating).
+fn quanta(cost: Cost) -> i64 {
+    (cost.0 / COST_QUANTUM).round() as i64
+}
+
 impl PlanCacheEntry {
+    /// Summed execution cost of this template.
+    pub fn total_cost(&self) -> Cost {
+        Cost(self.cost_quanta as f64 * COST_QUANTUM)
+    }
+
     /// Mean execution cost of this template.
     pub fn mean_cost(&self) -> Cost {
         if self.executions == 0 {
             Cost::ZERO
         } else {
-            self.total_cost / self.executions as f64
+            self.total_cost() / self.executions as f64
         }
     }
 }
@@ -115,7 +135,7 @@ impl PlanCache {
         match self.entries.get_mut(&fp) {
             Some(e) => {
                 e.executions += 1;
-                e.total_cost += cost;
+                e.cost_quanta = e.cost_quanta.saturating_add(quanta(cost));
                 e.last_seen = now;
                 // Min-rank representative: independent of which instance
                 // happened to arrive first under concurrent workers.
@@ -129,18 +149,16 @@ impl PlanCache {
                 if self.entries.len() >= self.max_entries {
                     self.evict_lru();
                 }
-                self.entries.insert(
-                    fp,
-                    PlanCacheEntry {
-                        template: query.template(),
-                        example: query.clone(),
-                        example_rank: example_rank(query),
-                        executions: 1,
-                        total_cost: cost,
-                        first_seen: now,
-                        last_seen: now,
-                    },
-                );
+                let entry = PlanCacheEntry {
+                    template: query.template(),
+                    example: query.clone(),
+                    example_rank: example_rank(query),
+                    executions: 1,
+                    cost_quanta: quanta(cost),
+                    first_seen: now,
+                    last_seen: now,
+                };
+                self.entries.insert(fp, entry);
             }
         }
     }
@@ -181,19 +199,16 @@ impl PlanCache {
         if self.entries.len() >= self.max_entries && !self.entries.contains_key(&fp) {
             self.evict_lru();
         }
-        let rank = example_rank(&example);
-        self.entries.insert(
-            fp,
-            PlanCacheEntry {
-                template: example.template(),
-                example_rank: rank,
-                example,
-                executions,
-                total_cost,
-                first_seen,
-                last_seen,
-            },
-        );
+        let entry = PlanCacheEntry {
+            template: example.template(),
+            example_rank: example_rank(&example),
+            example,
+            executions,
+            cost_quanta: quanta(total_cost),
+            first_seen,
+            last_seen,
+        };
+        self.entries.insert(fp, entry);
     }
 
     /// A point-in-time snapshot of all entries (cloned, so the predictor
@@ -247,7 +262,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let e = cache.get(q(0, 9).fingerprint()).unwrap();
         assert_eq!(e.executions, 2);
-        assert_eq!(e.total_cost, Cost(6.0));
+        assert_eq!(e.total_cost(), Cost(6.0));
         assert_eq!(e.mean_cost(), Cost(3.0));
         assert_eq!(e.first_seen, LogicalTime(0));
         assert_eq!(e.last_seen, LogicalTime(1));
@@ -261,6 +276,49 @@ mod tests {
             e.example.predicates()[0].value,
             r.example.predicates()[0].value,
             "example selection must not depend on arrival order"
+        );
+    }
+
+    #[test]
+    fn total_cost_does_not_depend_on_record_order() {
+        // Summed as plain `f64`s, these give 0.6000000000000001 one way
+        // and 0.6 the other.
+        let costs = [0.1, 0.2, 0.3];
+        let total = |order: &mut dyn Iterator<Item = &f64>| {
+            let mut cache = PlanCache::default();
+            for &c in order {
+                cache.record(&q(0, 1), Cost(c), LogicalTime(0));
+            }
+            cache.get(q(0, 1).fingerprint()).unwrap().total_cost().0
+        };
+        let forward = total(&mut costs.iter());
+        let backward = total(&mut costs.iter().rev());
+        assert_eq!(forward.to_bits(), backward.to_bits());
+        assert!((forward - costs.iter().sum::<f64>()).abs() < 1e-6);
+
+        // A restored total continues bit-identically.
+        let mut whole = PlanCache::default();
+        let mut resumed = PlanCache::default();
+        for &c in &costs {
+            whole.record(&q(0, 1), Cost(c), LogicalTime(0));
+        }
+        let e = whole.get(q(0, 1).fingerprint()).unwrap().clone();
+        resumed.restore_entry(
+            e.example.clone(),
+            e.executions,
+            e.total_cost(),
+            e.first_seen,
+            e.last_seen,
+        );
+        for cache in [&mut whole, &mut resumed] {
+            for c in [7.25, 1e-9, 0.7] {
+                cache.record(&q(0, 1), Cost(c), LogicalTime(1));
+            }
+        }
+        let fp = q(0, 1).fingerprint();
+        assert_eq!(
+            whole.get(fp).unwrap().total_cost().0.to_bits(),
+            resumed.get(fp).unwrap().total_cost().0.to_bits()
         );
     }
 

@@ -1,7 +1,8 @@
 //! The query model: parameterised predicate scans with optional
 //! aggregates.
 
-use smdb_common::{ColumnId, TableId};
+use smdb_common::{ColumnId, Result, TableId};
+use smdb_storage::persist::{ByteReader, ByteWriter, Wire};
 use smdb_storage::{Aggregate, ScanPredicate};
 
 use crate::logical::LogicalTemplate;
@@ -117,6 +118,33 @@ impl Query {
     /// The (precomputed) instance fingerprint: template plus literals.
     pub fn instance_fingerprint(&self) -> u64 {
         self.instance_fingerprint
+    }
+}
+
+/// A query travels as its fields in declaration order; the
+/// fingerprints are recomputed on decode.
+impl Wire for Query {
+    fn put(&self, w: &mut ByteWriter) {
+        self.table.put(w);
+        self.table_name.put(w);
+        self.predicates.put(w);
+        self.aggregate.put(w);
+        self.group_by.put(w);
+        self.label.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let mut query = Query {
+            table: Wire::get(r)?,
+            table_name: Wire::get(r)?,
+            predicates: Wire::get(r)?,
+            aggregate: Wire::get(r)?,
+            group_by: Wire::get(r)?,
+            label: Wire::get(r)?,
+            fingerprint: 0,
+            instance_fingerprint: 0,
+        };
+        query.refresh_fingerprints();
+        Ok(query)
     }
 }
 

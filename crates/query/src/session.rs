@@ -158,6 +158,9 @@ pub struct SessionStats {
     pub result_digest: u64,
 }
 
+smdb_storage::persist::wire_struct!(SessionStats: session_id, queries, errors, wrong_results,
+    busy, morsels, result_digest);
+
 impl SessionStats {
     /// Folds one served query into the statistics: an answer counts as
     /// a query (cost, morsels, digest) and, when `oracle` contradicts it,

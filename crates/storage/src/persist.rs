@@ -1,361 +1,267 @@
-//! Binary (de)serialization of storage-layer state.
+//! The durable form of storage-layer state: one [`Wire`] impl per type.
 //!
-//! Encodes the durable face of the engine with the `smdb-durable`
-//! codec: raw table data (chunks are decoded to full columns and
-//! re-chunked deterministically on load via [`Table::from_columns`],
-//! so the on-disk form is encoding-independent) and configuration
-//! state ([`ConfigSnapshot`], [`ConfigAction`]). Physical design is
-//! *not* serialized with the data — recovery re-applies the recovered
-//! configuration to rebuild indexes and encodings from raw values,
-//! which keeps the snapshot format a pure function of the logical
-//! content.
+//! Raw table data is encoded chunk-independently: a [`RawTable`] holds
+//! chunks decoded to full columns, re-chunked deterministically on load
+//! via [`Table::from_columns`], so the on-disk form does not depend on
+//! encodings. Configuration state ([`ConfigSnapshot`], [`ConfigAction`])
+//! is encoded too. Physical design is *not* serialized with the data —
+//! recovery re-applies the recovered configuration to rebuild indexes
+//! and encodings from raw values, which keeps the snapshot format a
+//! pure function of the logical content.
+//!
+//! The codec is re-exported here so the crates layered on storage
+//! (query, forecast) give their own types a [`Wire`] impl without a
+//! dependency edge of their own to `smdb-durable`.
 
-use smdb_common::{ChunkColumnRef, ChunkId, ColumnId, Error, Result, TableId};
-use smdb_durable::{ByteReader, ByteWriter};
+use std::borrow::Cow;
 
-use crate::config::{ConfigAction, ConfigSnapshot, KnobKind};
+use smdb_common::{Error, Result};
+use smdb_durable::wire_tags;
+pub use smdb_durable::{wire_struct, ByteReader, ByteWriter, Wire};
+
+use crate::config::{ConfigAction, ConfigInstance, ConfigSnapshot, KnobKind};
 use crate::encoding::EncodingKind;
 use crate::index::IndexKind;
 use crate::placement::Tier;
+use crate::scan::{Aggregate, AggregateOp, PredicateOp, ScanPredicate};
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Table;
-use crate::value::{ColumnValues, DataType};
+use crate::value::{ColumnValues, DataType, Value};
 
-fn write_data_type(w: &mut ByteWriter, dt: DataType) {
-    w.u8(match dt {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Text => 2,
-    });
-}
+wire_tags!(DataType: Int, Float, Text);
+wire_tags!(EncodingKind: Unencoded, Dictionary, RunLength, FrameOfReference);
+wire_tags!(Tier: Hot, Warm, Cold);
+wire_tags!(PredicateOp: Eq, Lt, Le, Gt, Ge, Between);
+wire_tags!(AggregateOp: Count, Sum, Avg, Min, Max);
+wire_tags!(KnobKind: BufferPoolMb);
 
-fn read_data_type(r: &mut ByteReader) -> Result<DataType> {
-    match r.u8()? {
-        0 => Ok(DataType::Int),
-        1 => Ok(DataType::Float),
-        2 => Ok(DataType::Text),
-        other => Err(Error::invalid(format!("unknown data type tag {other}"))),
-    }
-}
+wire_struct!(ScanPredicate: column, op, value, upper);
+wire_struct!(Aggregate: op, column);
+wire_struct!(ColumnDef: name, data_type);
+wire_struct!(ConfigSnapshot: indexes, encodings, placements, buffer_pool_mb);
 
-/// Writes one column's raw values.
-pub fn write_column_values(w: &mut ByteWriter, col: &ColumnValues) {
-    write_data_type(w, col.data_type());
-    w.usize(col.len());
-    match col {
-        ColumnValues::Int(v) => v.iter().for_each(|&x| w.i64(x)),
-        ColumnValues::Float(v) => v.iter().for_each(|&x| w.f64(x)),
-        ColumnValues::Text(v) => v.iter().for_each(|x| w.str(x)),
-    }
-}
-
-/// Reads one column's raw values.
-pub fn read_column_values(r: &mut ByteReader) -> Result<ColumnValues> {
-    let dt = read_data_type(r)?;
-    let len = r.usize()?;
-    Ok(match dt {
-        DataType::Int => {
-            let mut v = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                v.push(r.i64()?);
-            }
-            ColumnValues::Int(v)
-        }
-        DataType::Float => {
-            let mut v = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                v.push(r.f64()?);
-            }
-            ColumnValues::Float(v)
-        }
-        DataType::Text => {
-            let mut v = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                v.push(r.str()?);
-            }
-            ColumnValues::Text(v)
-        }
-    })
-}
-
-/// Writes a schema.
-pub fn write_schema(w: &mut ByteWriter, schema: &Schema) {
-    w.usize(schema.arity());
-    for def in schema.columns() {
-        w.str(&def.name);
-        write_data_type(w, def.data_type);
-    }
-}
-
-/// Reads a schema.
-pub fn read_schema(r: &mut ByteReader) -> Result<Schema> {
-    let arity = r.usize()?;
-    let mut defs = Vec::with_capacity(arity.min(1 << 12));
-    for _ in 0..arity {
-        let name = r.str()?;
-        let dt = read_data_type(r)?;
-        defs.push(ColumnDef::new(name, dt));
-    }
-    Schema::new(defs)
-}
-
-/// Writes a whole table: name, schema, chunking target, and every
-/// column's raw values (chunk segments decoded and concatenated).
-pub fn write_table(w: &mut ByteWriter, table: &Table) -> Result<()> {
-    w.str(table.name());
-    write_schema(w, table.schema());
-    w.usize(table.target_chunk_rows());
-    for (col_id, def) in table.schema().iter() {
-        let mut full = ColumnValues::empty(def.data_type);
-        for (_, chunk) in table.chunks() {
-            let part = chunk.segment(col_id)?.decode();
-            extend_column(&mut full, part)?;
-        }
-        write_column_values(w, &full);
-    }
-    Ok(())
-}
-
-/// Reads a table written by [`write_table`], re-chunking the raw
-/// columns at the recorded target size.
-pub fn read_table(r: &mut ByteReader) -> Result<Table> {
-    let name = r.str()?;
-    let schema = read_schema(r)?;
-    let target_chunk_rows = r.usize()?;
-    let mut columns = Vec::with_capacity(schema.arity());
-    for _ in 0..schema.arity() {
-        columns.push(read_column_values(r)?);
-    }
-    Table::from_columns(name, schema, columns, target_chunk_rows)
-}
-
-fn extend_column(dst: &mut ColumnValues, src: ColumnValues) -> Result<()> {
-    match (dst, src) {
-        (ColumnValues::Int(d), ColumnValues::Int(s)) => d.extend(s),
-        (ColumnValues::Float(d), ColumnValues::Float(s)) => d.extend(s),
-        (ColumnValues::Text(d), ColumnValues::Text(s)) => d.extend(s),
-        _ => return Err(Error::invalid("chunk segment type mismatch")),
-    }
-    Ok(())
-}
-
-fn write_ref(w: &mut ByteWriter, r: ChunkColumnRef) {
-    w.u32(r.table.0);
-    w.u32(u32::from(r.column.0));
-    w.u32(r.chunk.0);
-}
-
-fn read_ref(r: &mut ByteReader) -> Result<ChunkColumnRef> {
-    let table = r.u32()?;
-    let column = u16::try_from(r.u32()?).map_err(|_| Error::invalid("column id overflow"))?;
-    let chunk = r.u32()?;
-    Ok(ChunkColumnRef::new(table, column, chunk))
-}
-
-fn write_index_kind(w: &mut ByteWriter, kind: IndexKind) {
-    match kind {
-        IndexKind::Hash => w.u8(0),
-        IndexKind::BTree => w.u8(1),
-        IndexKind::CompositeHash { second } => {
-            w.u8(2);
-            w.u32(u32::from(second.0));
+/// A value is its data type's tag, then the payload.
+impl Wire for Value {
+    fn put(&self, w: &mut ByteWriter) {
+        self.data_type().put(w);
+        match self {
+            Value::Int(x) => x.put(w),
+            Value::Float(x) => x.put(w),
+            Value::Text(s) => s.put(w),
         }
     }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match DataType::get(r)? {
+            DataType::Int => Value::Int(Wire::get(r)?),
+            DataType::Float => Value::Float(Wire::get(r)?),
+            DataType::Text => Value::Text(Wire::get(r)?),
+        })
+    }
 }
 
-fn read_index_kind(r: &mut ByteReader) -> Result<IndexKind> {
-    match r.u8()? {
-        0 => Ok(IndexKind::Hash),
-        1 => Ok(IndexKind::BTree),
-        2 => {
-            let second =
-                u16::try_from(r.u32()?).map_err(|_| Error::invalid("column id overflow"))?;
-            Ok(IndexKind::CompositeHash {
-                second: ColumnId(second),
+/// A column is its data type's tag, then its values as a `Vec`.
+impl Wire for ColumnValues {
+    fn put(&self, w: &mut ByteWriter) {
+        self.data_type().put(w);
+        match self {
+            ColumnValues::Int(v) => v.put(w),
+            ColumnValues::Float(v) => v.put(w),
+            ColumnValues::Text(v) => v.put(w),
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match DataType::get(r)? {
+            DataType::Int => ColumnValues::Int(Wire::get(r)?),
+            DataType::Float => ColumnValues::Float(Wire::get(r)?),
+            DataType::Text => ColumnValues::Text(Wire::get(r)?),
+        })
+    }
+}
+
+impl Wire for Schema {
+    fn put(&self, w: &mut ByteWriter) {
+        Cow::Borrowed(self.columns()).put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Schema::new(Wire::get(r)?)
+    }
+}
+
+/// A table's durable form: its name, schema and chunking target, and
+/// one full column of raw values per schema column. Chunk segments are
+/// decoded and concatenated by [`RawTable::of`], which fails on a chunk
+/// that lacks a segment of the schema's type; recovery re-chunks the
+/// columns with [`RawTable::into_table`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RawTable {
+    name: String,
+    schema: Schema,
+    target_chunk_rows: usize,
+    columns: Vec<ColumnValues>,
+}
+
+impl RawTable {
+    /// Decodes every chunk of `table` into full raw columns.
+    pub fn of(table: &Table) -> Result<RawTable> {
+        let columns = table
+            .schema()
+            .iter()
+            .map(|(col, def)| {
+                let mut full = ColumnValues::empty(def.data_type);
+                for (_, chunk) in table.chunks() {
+                    if !full.append(chunk.segment(col)?.decode()) {
+                        return Err(Error::invalid("chunk segment type mismatch"));
+                    }
+                }
+                Ok(full)
             })
+            .collect::<Result<_>>()?;
+        Ok(RawTable {
+            name: table.name().to_owned(),
+            schema: table.schema().clone(),
+            target_chunk_rows: table.target_chunk_rows(),
+            columns,
+        })
+    }
+
+    /// Re-chunks the raw columns at the recorded target size.
+    pub fn into_table(self) -> Result<Table> {
+        Table::from_columns(self.name, self.schema, self.columns, self.target_chunk_rows)
+    }
+}
+
+/// The columns follow with no count: the schema gives it.
+impl Wire for RawTable {
+    fn put(&self, w: &mut ByteWriter) {
+        self.name.put(w);
+        self.schema.put(w);
+        self.target_chunk_rows.put(w);
+        for column in &self.columns {
+            column.put(w);
         }
-        other => Err(Error::invalid(format!("unknown index kind tag {other}"))),
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        let name = String::get(r)?;
+        let schema = Schema::get(r)?;
+        let target_chunk_rows = usize::get(r)?;
+        let columns = (0..schema.arity())
+            .map(|_| ColumnValues::get(r))
+            .collect::<Result<_>>()?;
+        Ok(RawTable {
+            name,
+            schema,
+            target_chunk_rows,
+            columns,
+        })
     }
 }
 
-fn write_encoding_kind(w: &mut ByteWriter, kind: EncodingKind) {
-    w.u8(match kind {
-        EncodingKind::Unencoded => 0,
-        EncodingKind::Dictionary => 1,
-        EncodingKind::RunLength => 2,
-        EncodingKind::FrameOfReference => 3,
-    });
-}
+const INDEX_HASH: u8 = 0;
+const INDEX_BTREE: u8 = 1;
+const INDEX_COMPOSITE_HASH: u8 = 2;
 
-fn read_encoding_kind(r: &mut ByteReader) -> Result<EncodingKind> {
-    match r.u8()? {
-        0 => Ok(EncodingKind::Unencoded),
-        1 => Ok(EncodingKind::Dictionary),
-        2 => Ok(EncodingKind::RunLength),
-        3 => Ok(EncodingKind::FrameOfReference),
-        other => Err(Error::invalid(format!("unknown encoding tag {other}"))),
-    }
-}
-
-fn write_tier(w: &mut ByteWriter, tier: Tier) {
-    w.u8(match tier {
-        Tier::Hot => 0,
-        Tier::Warm => 1,
-        Tier::Cold => 2,
-    });
-}
-
-fn read_tier(r: &mut ByteReader) -> Result<Tier> {
-    match r.u8()? {
-        0 => Ok(Tier::Hot),
-        1 => Ok(Tier::Warm),
-        2 => Ok(Tier::Cold),
-        other => Err(Error::invalid(format!("unknown tier tag {other}"))),
-    }
-}
-
-/// Writes a configuration snapshot.
-pub fn write_config_snapshot(w: &mut ByteWriter, snap: &ConfigSnapshot) {
-    w.usize(snap.indexes.len());
-    for &(target, kind) in &snap.indexes {
-        write_ref(w, target);
-        write_index_kind(w, kind);
-    }
-    w.usize(snap.encodings.len());
-    for &(target, kind) in &snap.encodings {
-        write_ref(w, target);
-        write_encoding_kind(w, kind);
-    }
-    w.usize(snap.placements.len());
-    for &(table, chunk, tier) in &snap.placements {
-        w.u32(table.0);
-        w.u32(chunk.0);
-        write_tier(w, tier);
-    }
-    w.f64(snap.buffer_pool_mb);
-}
-
-/// Reads a configuration snapshot.
-pub fn read_config_snapshot(r: &mut ByteReader) -> Result<ConfigSnapshot> {
-    let n = r.usize()?;
-    let mut indexes = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let target = read_ref(r)?;
-        let kind = read_index_kind(r)?;
-        indexes.push((target, kind));
-    }
-    let n = r.usize()?;
-    let mut encodings = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let target = read_ref(r)?;
-        let kind = read_encoding_kind(r)?;
-        encodings.push((target, kind));
-    }
-    let n = r.usize()?;
-    let mut placements = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let table = TableId(r.u32()?);
-        let chunk = ChunkId(r.u32()?);
-        let tier = read_tier(r)?;
-        placements.push((table, chunk, tier));
-    }
-    let buffer_pool_mb = r.f64()?;
-    Ok(ConfigSnapshot {
-        indexes,
-        encodings,
-        placements,
-        buffer_pool_mb,
-    })
-}
-
-/// Writes one configuration action.
-pub fn write_config_action(w: &mut ByteWriter, action: &ConfigAction) {
-    match action {
-        ConfigAction::CreateIndex { target, kind } => {
-            w.u8(0);
-            write_ref(w, *target);
-            write_index_kind(w, *kind);
-        }
-        ConfigAction::DropIndex { target } => {
-            w.u8(1);
-            write_ref(w, *target);
-        }
-        ConfigAction::SetEncoding { target, kind } => {
-            w.u8(2);
-            write_ref(w, *target);
-            write_encoding_kind(w, *kind);
-        }
-        ConfigAction::SetPlacement { table, chunk, tier } => {
-            w.u8(3);
-            w.u32(table.0);
-            w.u32(chunk.0);
-            write_tier(w, *tier);
-        }
-        ConfigAction::SetKnob { knob, value } => {
-            w.u8(4);
-            match knob {
-                KnobKind::BufferPoolMb => w.u8(0),
+/// An index kind is a tag; a composite index adds its second column.
+impl Wire for IndexKind {
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            IndexKind::Hash => INDEX_HASH.put(w),
+            IndexKind::BTree => INDEX_BTREE.put(w),
+            IndexKind::CompositeHash { second } => {
+                INDEX_COMPOSITE_HASH.put(w);
+                second.put(w);
             }
-            w.f64(*value);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        match u8::get(r)? {
+            INDEX_HASH => Ok(IndexKind::Hash),
+            INDEX_BTREE => Ok(IndexKind::BTree),
+            INDEX_COMPOSITE_HASH => Ok(IndexKind::CompositeHash {
+                second: Wire::get(r)?,
+            }),
+            other => Err(Error::invalid(format!("unknown index kind tag {other}"))),
         }
     }
 }
 
-/// Reads one configuration action.
-pub fn read_config_action(r: &mut ByteReader) -> Result<ConfigAction> {
-    match r.u8()? {
-        0 => Ok(ConfigAction::CreateIndex {
-            target: read_ref(r)?,
-            kind: read_index_kind(r)?,
-        }),
-        1 => Ok(ConfigAction::DropIndex {
-            target: read_ref(r)?,
-        }),
-        2 => Ok(ConfigAction::SetEncoding {
-            target: read_ref(r)?,
-            kind: read_encoding_kind(r)?,
-        }),
-        3 => Ok(ConfigAction::SetPlacement {
-            table: TableId(r.u32()?),
-            chunk: ChunkId(r.u32()?),
-            tier: read_tier(r)?,
-        }),
-        4 => {
-            let knob = match r.u8()? {
-                0 => KnobKind::BufferPoolMb,
-                other => return Err(Error::invalid(format!("unknown knob tag {other}"))),
-            };
-            Ok(ConfigAction::SetKnob {
-                knob,
-                value: r.f64()?,
-            })
+/// A configuration instance travels as its [`ConfigSnapshot`].
+impl Wire for ConfigInstance {
+    fn put(&self, w: &mut ByteWriter) {
+        ConfigSnapshot::from(self).put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(ConfigInstance::from(&ConfigSnapshot::get(r)?))
+    }
+}
+
+const ACTION_CREATE_INDEX: u8 = 0;
+const ACTION_DROP_INDEX: u8 = 1;
+const ACTION_SET_ENCODING: u8 = 2;
+const ACTION_SET_PLACEMENT: u8 = 3;
+const ACTION_SET_KNOB: u8 = 4;
+
+/// An action is a tag, then the variant's fields in order.
+impl Wire for ConfigAction {
+    fn put(&self, w: &mut ByteWriter) {
+        match self {
+            ConfigAction::CreateIndex { target, kind } => {
+                ACTION_CREATE_INDEX.put(w);
+                target.put(w);
+                kind.put(w);
+            }
+            ConfigAction::DropIndex { target } => {
+                ACTION_DROP_INDEX.put(w);
+                target.put(w);
+            }
+            ConfigAction::SetEncoding { target, kind } => {
+                ACTION_SET_ENCODING.put(w);
+                target.put(w);
+                kind.put(w);
+            }
+            ConfigAction::SetPlacement { table, chunk, tier } => {
+                ACTION_SET_PLACEMENT.put(w);
+                table.put(w);
+                chunk.put(w);
+                tier.put(w);
+            }
+            ConfigAction::SetKnob { knob, value } => {
+                ACTION_SET_KNOB.put(w);
+                knob.put(w);
+                value.put(w);
+            }
         }
-        other => Err(Error::invalid(format!("unknown action tag {other}"))),
     }
-}
-
-/// Writes a list of actions with a count prefix.
-pub fn write_actions(w: &mut ByteWriter, actions: &[ConfigAction]) {
-    w.usize(actions.len());
-    for a in actions {
-        write_config_action(w, a);
+    fn get(r: &mut ByteReader<'_>) -> Result<Self> {
+        Ok(match u8::get(r)? {
+            ACTION_CREATE_INDEX => ConfigAction::CreateIndex {
+                target: Wire::get(r)?,
+                kind: Wire::get(r)?,
+            },
+            ACTION_DROP_INDEX => ConfigAction::DropIndex {
+                target: Wire::get(r)?,
+            },
+            ACTION_SET_ENCODING => ConfigAction::SetEncoding {
+                target: Wire::get(r)?,
+                kind: Wire::get(r)?,
+            },
+            ACTION_SET_PLACEMENT => ConfigAction::SetPlacement {
+                table: Wire::get(r)?,
+                chunk: Wire::get(r)?,
+                tier: Wire::get(r)?,
+            },
+            ACTION_SET_KNOB => ConfigAction::SetKnob {
+                knob: Wire::get(r)?,
+                value: Wire::get(r)?,
+            },
+            other => return Err(Error::invalid(format!("unknown action tag {other}"))),
+        })
     }
-}
-
-/// Reads a count-prefixed list of actions.
-pub fn read_actions(r: &mut ByteReader) -> Result<Vec<ConfigAction>> {
-    let n = r.usize()?;
-    let mut actions = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        actions.push(read_config_action(r)?);
-    }
-    Ok(actions)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ConfigInstance;
+    use smdb_common::{ChunkColumnRef, ChunkId, ColumnId, TableId};
 
     fn sample_table() -> Table {
         let schema = Schema::new(vec![
@@ -377,23 +283,23 @@ mod tests {
         .unwrap()
     }
 
+    fn raw_bytes(table: &Table) -> Vec<u8> {
+        RawTable::of(table).unwrap().to_bytes()
+    }
+
     #[test]
     fn table_roundtrips_including_rechunking() {
         let table = sample_table();
-        let mut w = ByteWriter::new();
-        write_table(&mut w, &table).unwrap();
-        let bytes = w.into_bytes();
+        let bytes = raw_bytes(&table);
         let mut r = ByteReader::new(&bytes);
-        let back = read_table(&mut r).unwrap();
+        let back = RawTable::get(&mut r).unwrap().into_table().unwrap();
         assert!(r.is_exhausted());
         assert_eq!(back.name(), table.name());
         assert_eq!(back.rows(), table.rows());
         assert_eq!(back.chunk_count(), table.chunk_count());
         assert_eq!(back.schema(), table.schema());
         // Re-encoding the decoded table is byte-identical.
-        let mut w2 = ByteWriter::new();
-        write_table(&mut w2, &back).unwrap();
-        assert_eq!(w2.into_bytes(), bytes);
+        assert_eq!(raw_bytes(&back), bytes);
     }
 
     #[test]
@@ -404,13 +310,9 @@ mod tests {
             .unwrap()
             .set_encoding(ColumnId(0), EncodingKind::Dictionary)
             .unwrap();
-        let mut plain = ByteWriter::new();
-        write_table(&mut plain, &sample_table()).unwrap();
-        let mut encoded = ByteWriter::new();
-        write_table(&mut encoded, &table).unwrap();
         assert_eq!(
-            plain.into_bytes(),
-            encoded.into_bytes(),
+            raw_bytes(&sample_table()),
+            raw_bytes(&table),
             "snapshots are encoding-independent"
         );
     }
@@ -431,10 +333,8 @@ mod tests {
         c.placements.insert((TableId(0), ChunkId(3)), Tier::Warm);
         c.knobs.buffer_pool_mb = 192.0;
         let snap = ConfigSnapshot::from(&c);
-        let mut w = ByteWriter::new();
-        write_config_snapshot(&mut w, &snap);
-        let bytes = w.into_bytes();
-        let back = read_config_snapshot(&mut ByteReader::new(&bytes)).unwrap();
+        let bytes = snap.to_bytes();
+        let back = ConfigSnapshot::get(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(back, snap);
         assert_eq!(ConfigInstance::from(&back), c);
     }
@@ -469,24 +369,34 @@ mod tests {
                 value: 48.5,
             },
         ];
-        let mut w = ByteWriter::new();
-        write_actions(&mut w, &actions);
-        let bytes = w.into_bytes();
-        let back = read_actions(&mut ByteReader::new(&bytes)).unwrap();
+        let bytes = actions.to_bytes();
+        let back = <Vec<ConfigAction>>::get(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(back, actions);
     }
 
     #[test]
+    fn tags_are_list_positions() {
+        assert_eq!(DataType::Text.to_bytes(), vec![2]);
+        assert_eq!(EncodingKind::FrameOfReference.to_bytes(), vec![3]);
+        assert_eq!(Tier::Warm.to_bytes(), vec![1]);
+        assert_eq!(PredicateOp::Between.to_bytes(), vec![5]);
+        assert_eq!(AggregateOp::Max.to_bytes(), vec![4]);
+        assert_eq!(KnobKind::BufferPoolMb.to_bytes(), vec![0]);
+        assert_eq!(
+            Value::Float(1.0).to_bytes()[0],
+            1,
+            "a value's tag is its data type"
+        );
+    }
+
+    #[test]
     fn corrupt_tags_error_cleanly() {
-        let mut r = ByteReader::new(&[9]);
-        assert!(read_data_type(&mut r).is_err());
-        let mut r = ByteReader::new(&[9]);
-        assert!(read_tier(&mut r).is_err());
-        let mut r = ByteReader::new(&[9]);
-        assert!(read_encoding_kind(&mut r).is_err());
-        let mut r = ByteReader::new(&[9]);
-        assert!(read_index_kind(&mut r).is_err());
-        let mut r = ByteReader::new(&[9]);
-        assert!(read_config_action(&mut r).is_err());
+        let bad = [9u8];
+        assert!(DataType::get(&mut ByteReader::new(&bad)).is_err());
+        assert!(Tier::get(&mut ByteReader::new(&bad)).is_err());
+        assert!(EncodingKind::get(&mut ByteReader::new(&bad)).is_err());
+        assert!(IndexKind::get(&mut ByteReader::new(&bad)).is_err());
+        assert!(ConfigAction::get(&mut ByteReader::new(&bad)).is_err());
+        assert!(Value::get(&mut ByteReader::new(&bad)).is_err());
     }
 }

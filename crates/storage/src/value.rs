@@ -220,6 +220,18 @@ impl ColumnValues {
         }
     }
 
+    /// Appends all of `other`'s values; returns `false`, appending
+    /// nothing, on type mismatch.
+    pub(crate) fn append(&mut self, other: ColumnValues) -> bool {
+        match (self, other) {
+            (ColumnValues::Int(col), ColumnValues::Int(more)) => col.extend(more),
+            (ColumnValues::Float(col), ColumnValues::Float(more)) => col.extend(more),
+            (ColumnValues::Text(col), ColumnValues::Text(more)) => col.extend(more),
+            _ => return false,
+        }
+        true
+    }
+
     /// Raw memory footprint of the unencoded representation.
     pub fn raw_bytes(&self) -> usize {
         match self {

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use smdb::common::Cost;
 use smdb::core::{DurabilityConfig, DurabilityManager};
-use smdb::durable::Persistence;
+use smdb::durable::{MemPersistence, Persistence};
 use smdb::query::Database;
 use smdb::runtime::{
     events_database, generate, BucketPlan, FaultPlan, Runtime, RuntimeConfig, StreamConfig,
@@ -121,4 +121,16 @@ pub fn durable_soak_runtime(
         recovery_config(2),
         Arc::new(DurabilityManager::new(persistence, dconfig)),
     )
+}
+
+/// Deep-copies a store into memory, so a test can damage or recover
+/// it (recovery truncate-repairs the WAL in place) without touching
+/// the original.
+pub fn copy_store(src: &dyn Persistence) -> Arc<MemPersistence> {
+    let dst = Arc::new(MemPersistence::new());
+    for name in src.list().expect("lists") {
+        let blob = src.read(&name).expect("reads").expect("listed blob exists");
+        dst.write_atomic(&name, &blob).expect("writes");
+    }
+    dst
 }

@@ -7,10 +7,14 @@
 //! panic, must degrade to the longest valid prefix, and the resumed
 //! run must land on the same result digest as the uninterrupted one.
 //!
-//! Three layers of evidence:
+//! Four layers of evidence:
 //! * a property sweep truncating the WAL at arbitrary byte offsets,
 //! * the torn-write fault matrix (truncate / flip / duplicate, three
 //!   crash attempts each) injected *while the soak is running*,
+//! * snapshot faults: flipping or truncating any byte of any snapshot
+//!   blob falls back to an older snapshot (or to "nothing to recover"),
+//!   and a truncated or absurd-length serving-state encoding is an
+//!   error, never a panic,
 //! * byte-identity: recovering the same store twice yields the same
 //!   serving-state encoding and the same stored-instance set.
 
@@ -20,10 +24,11 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use smdb::core::durability::{decode_serving_state, encode_serving_state};
-use smdb::core::{DurabilityConfig, StoredInstance};
+use smdb::core::durability::SNAPSHOT_PREFIX;
+use smdb::core::{DurabilityConfig, ServingState, StoredInstance};
 use smdb::durable::{
-    MemPersistence, Persistence, TornWriteKind, TornWritePersistence, TornWritePlan,
+    ByteReader, MemPersistence, Persistence, TornWriteKind, TornWritePersistence, TornWritePlan,
+    Wire,
 };
 use smdb::obs::TrailEvent;
 use smdb::runtime::{recover_and_resume, recover_runtime, BucketPlan};
@@ -69,20 +74,9 @@ fn reference() -> &'static Reference {
     })
 }
 
-/// Deep-copies a store so each crash case mutates its own universe
-/// (recovery truncate-repairs the WAL in place).
-fn copy_store(src: &dyn Persistence) -> Arc<MemPersistence> {
-    let dst = Arc::new(MemPersistence::new());
-    for name in src.list().expect("lists") {
-        let blob = src.read(&name).expect("reads").expect("listed blob exists");
-        dst.write_atomic(&name, &blob).expect("writes");
-    }
-    dst
-}
-
 /// Truncates the copied WAL at `cut` bytes: the crash point.
 fn crashed_store(src: &dyn Persistence, cut: usize) -> Arc<MemPersistence> {
-    let store = copy_store(src);
+    let store = harness::copy_store(src);
     store
         .mutate(smdb::core::durability::WAL_NAME, |b| b.truncate(cut))
         .expect("wal blob exists");
@@ -135,6 +129,120 @@ proptest! {
         prop_assert_eq!(
             first.outcome.stats.result_digest,
             second.outcome.stats.result_digest
+        );
+    }
+}
+
+/// The reference store's snapshot blob names, oldest first.
+fn snapshot_names(store: &dyn Persistence) -> Vec<String> {
+    let names: Vec<String> = store
+        .list()
+        .expect("lists")
+        .into_iter()
+        .filter(|name| name.starts_with(SNAPSHOT_PREFIX))
+        .collect();
+    assert_eq!(
+        names.len(),
+        3,
+        "cadence 4 over 10 buckets: snapshots 0, 4, 8"
+    );
+    names
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Flip or truncate one byte of each snapshot blob in every subset:
+    /// recovery falls back to the newest intact snapshot, replays the
+    /// WAL from there and reproduces the uninterrupted digest — or,
+    /// when every snapshot is damaged, reports nothing to recover.
+    #[test]
+    fn damaged_snapshots_fall_back_to_an_older_one(frac in 0.0f64..1.0, truncate in 0u8..2) {
+        let reference = reference();
+        let intact_replay = recover_runtime(
+            harness::copy_store(reference.store.as_ref()),
+            dconfig(),
+            harness::recovery_config(2),
+        )
+        .expect("recovers")
+        .expect("snapshot exists")
+        .1
+        .replayed_records;
+        for damaged in 1u8..8 {
+            let store = harness::copy_store(reference.store.as_ref());
+            for (i, name) in snapshot_names(store.as_ref()).iter().enumerate() {
+                if damaged & (1 << i) == 0 {
+                    continue;
+                }
+                store
+                    .mutate(name, |b| {
+                        let at = (frac * b.len() as f64) as usize;
+                        if truncate == 1 {
+                            b.truncate(at);
+                        } else {
+                            b[at] ^= 0xA5;
+                        }
+                    })
+                    .expect("snapshot blob exists");
+            }
+            let recovered =
+                recover_runtime(store.clone(), dconfig(), harness::recovery_config(2))
+                    .expect("recovery is total");
+            if damaged == 0b111 {
+                prop_assert!(recovered.is_none(), "no valid snapshot: nothing to recover");
+                continue;
+            }
+            let (runtime, rec) = recovered.expect("an intact snapshot remains");
+            // Losing the newest snapshot means replaying more WAL.
+            if damaged & 0b100 == 0 {
+                prop_assert_eq!(rec.replayed_records, intact_replay);
+            } else {
+                prop_assert!(rec.replayed_records > intact_replay);
+            }
+            let outcome = runtime
+                .run_resumed(&reference.plan, rec.serving.bucket, rec.serving.stats.clone())
+                .expect("resumed run completes");
+            prop_assert_eq!(outcome.stats.result_digest, reference.digest);
+            prop_assert_eq!(outcome.stats.wrong_results, 0);
+        }
+    }
+}
+
+/// A serving-state encoding cut at any offset, or with a length prefix
+/// set to `u64::MAX`, decodes to an error and never panics.
+#[test]
+fn truncated_or_absurd_serving_state_is_an_error() {
+    let reference = reference();
+    let (_, rec) = recover_runtime(
+        harness::copy_store(reference.store.as_ref()),
+        dconfig(),
+        harness::recovery_config(2),
+    )
+    .expect("recovers")
+    .expect("snapshot exists");
+    let state = rec.serving;
+    let bytes = state.to_bytes();
+    for cut in 0..bytes.len() {
+        assert!(
+            ServingState::get(&mut ByteReader::new(&bytes[..cut])).is_err(),
+            "a serving state cut at {cut} of {} bytes must not decode",
+            bytes.len()
+        );
+    }
+    // Offsets of count prefixes: the config's index list, the KPI
+    // windows, the history templates and the plan cache.
+    let head = (state.bucket, state.stats.clone(), state.clock)
+        .to_bytes()
+        .len();
+    let kpi = head + state.config.to_bytes().len();
+    let history = kpi + state.kpi.to_bytes().len();
+    let plan_cache = history + state.history.to_bytes().len();
+    for at in [head, kpi, history, plan_cache] {
+        let mut absurd = bytes.clone();
+        absurd[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(
+            ServingState::get(&mut ByteReader::new(&absurd)).is_err(),
+            "a u64::MAX count at offset {at} must not decode"
         );
     }
 }
@@ -218,28 +326,32 @@ fn torn_writes_recover_to_last_valid_prefix() {
 fn recovered_state_round_trips_byte_identically() {
     let reference = reference();
     let (first, rec1) = recover_runtime(
-        copy_store(reference.store.as_ref()),
+        harness::copy_store(reference.store.as_ref()),
         dconfig(),
         harness::recovery_config(2),
     )
     .expect("recovers")
     .expect("snapshot exists");
     let (_, rec2) = recover_runtime(
-        copy_store(reference.store.as_ref()),
+        harness::copy_store(reference.store.as_ref()),
         dconfig(),
         harness::recovery_config(2),
     )
     .expect("recovers")
     .expect("snapshot exists");
 
-    let bytes = encode_serving_state(&rec1.serving);
+    let bytes = rec1.serving.to_bytes();
     assert_eq!(
         bytes,
-        encode_serving_state(&rec2.serving),
+        rec2.serving.to_bytes(),
         "independent recoveries must encode byte-identically"
     );
-    let reencoded = encode_serving_state(&decode_serving_state(&bytes).expect("decodes"));
-    assert_eq!(bytes, reencoded, "encoding is a fixed point of the codec");
+    let decoded = ServingState::get(&mut ByteReader::new(&bytes)).expect("decodes");
+    assert_eq!(
+        bytes,
+        decoded.to_bytes(),
+        "encoding is a fixed point of the codec"
+    );
 
     assert_eq!(rec1.dropped_records, 0, "clean shutdown drops nothing");
     assert_eq!(
