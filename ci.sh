@@ -117,6 +117,12 @@ check_trail() { # trail path
     cargo run -q -p smdb-lint -- --check-trail "$1"
 }
 
+check_trail_identity() { # outdir (after run_soak_mt): the seeded sharded
+    # soak's trail must equal the committed TRAIL_mt.json byte for byte;
+    # `bench-gate --update-baselines` approves a deliberate change
+    cmp "$1/TRAIL_mt.json" TRAIL_mt.json
+}
+
 run_concurrency_audit() { # outdir -> AUDIT_concurrency.json
     cargo run -q -p smdb-lint -- --audit-concurrency --json \
         > "$1/AUDIT_concurrency.json"
@@ -141,6 +147,7 @@ fresh_bench_and_gate() { # build fresh candidates into target/ci, gate them
     step "check-trail" check_trail "$CI_DIR/TRAIL_soak.json"
     step "soak-mt" run_soak_mt "$CI_DIR"
     step "check-trail-mt" check_trail "$CI_DIR/TRAIL_mt.json"
+    step "trail-identity" check_trail_identity "$CI_DIR"
     step "recover" run_recover "$CI_DIR"
     step "recover-determinism" check_store_determinism "$CI_DIR"
     step "bench-gate" run_gate "$CI_DIR"
@@ -199,6 +206,7 @@ bench-gate)
             "$CI_DIR/TRAIL_soak.json" "$CI_DIR/TRAIL_mt.json" .
         echo "Baselines updated from $CI_DIR — commit BENCH_*.json + TRAIL_*.json."
     else
+        step "trail-identity" check_trail_identity "$CI_DIR"
         step "bench-gate" run_gate "$CI_DIR"
         echo "Bench gate green."
     fi

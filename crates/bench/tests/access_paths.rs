@@ -1,12 +1,14 @@
-//! Predicted vs executed access paths over the soak query stream.
+//! Predicted vs executed access paths.
 //!
-//! `StorageEngine::predict_access_paths` claims to mirror the
-//! executor's per-chunk decision sequence exactly. This test replays
-//! the seeded soak stream — the same generator the `soak` binary
-//! serves — and asserts the predicted partition (pruned / index /
-//! kernel / scalar) equals the executed one on *every* query, across
-//! several storage configurations and with the kernel layer both on
-//! and off.
+//! `StorageEngine::predict_access_paths` and the cost estimator's
+//! feature extraction both claim to take the executor's per-chunk
+//! access path exactly. The first test replays the seeded soak stream —
+//! the same generator the `soak` binary serves — and asserts the
+//! predicted partition (pruned / index / kernel / scalar) equals the
+//! executed one on *every* query, across several storage configurations
+//! and with the kernel layer both on and off. The second checks the
+//! estimator's visit and probe counts against execution on TPC-H
+//! template samples.
 
 use smdb_common::ChunkColumnRef;
 use smdb_runtime::{events_database, generate, StreamConfig};
@@ -99,4 +101,63 @@ fn predicted_paths_match_executed_on_every_soak_query() {
     assert!(stats.chunks_scalar > 0, "scalar path never taken");
     assert!(stats.chunks_index > 0, "index path never taken");
     assert!(stats.chunks_pruned > 0, "pruning never happened");
+}
+
+/// The cost estimator plans every chunk through the engine's own
+/// `plan_chunk`, so on the TPC-H catalog — every predicate column of
+/// every chunk indexed, all tiers hot (each feature's tier multiplier
+/// is 1) — its visited-chunk and index-probe features equal what the
+/// engine executes, for samples of every template. Many of the sampled
+/// predicates are broader than the access-path threshold, which is
+/// where an index must not drive a probe.
+#[test]
+fn estimated_visits_and_probes_match_executed_on_tpch_templates() {
+    use smdb_bench::setup::{build_engine, DEFAULT_CHUNK, DEFAULT_ROWS, DEFAULT_SEED};
+    use smdb_common::seeded_rng;
+    use smdb_cost::features::{extract_features, fi, ConfigContext};
+    use smdb_workload::tpch::NUM_TEMPLATES;
+
+    for kind in [IndexKind::BTree, IndexKind::Hash] {
+        let (mut engine, templates) = build_engine(DEFAULT_ROWS, DEFAULT_CHUNK, DEFAULT_SEED);
+        let mut rng = seeded_rng(7);
+        let queries: Vec<_> = (0..NUM_TEMPLATES)
+            .flat_map(|id| (0..20).map(move |_| id))
+            .map(|id| templates.sample(id, &mut rng))
+            .collect();
+        let mut targets = std::collections::BTreeSet::new();
+        for q in &queries {
+            let table = engine.table(q.table()).expect("table exists");
+            for p in q.predicates() {
+                for (chunk, _) in table.chunks() {
+                    targets.insert(ChunkColumnRef {
+                        table: q.table(),
+                        column: p.column,
+                        chunk,
+                    });
+                }
+            }
+        }
+        for target in targets {
+            engine
+                .apply_action(&ConfigAction::CreateIndex { target, kind })
+                .expect("index builds");
+        }
+
+        let config = engine.current_config();
+        let ctx = ConfigContext::new(&engine, &config);
+        let mut probes = 0u64;
+        for q in &queries {
+            let f = extract_features(&engine, &ctx, q, &config).expect("features extract");
+            let out = engine
+                .scan_grouped(q.table(), q.predicates(), q.aggregate(), q.group_by())
+                .expect("query runs");
+            assert_eq!(
+                (f.0[fi::CHUNKS_VISITED], f.0[fi::INDEX_PROBES]),
+                (out.chunks_visited as f64, out.index_probes as f64),
+                "{kind:?} indexes, query {q:?}: estimated != executed (visited, probes)"
+            );
+            probes += out.index_probes;
+        }
+        assert!(probes > 0, "{kind:?} indexes: no query probed");
+    }
 }

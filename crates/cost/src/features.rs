@@ -8,16 +8,18 @@
 //! in these features, so the calibrated regression model can learn the
 //! "hardware" coefficients from observations (Section II-A(d)).
 //!
-//! Morsel-parallel scans need no mirroring here: the engine computes
-//! per-chunk partials with the same access-path rules regardless of
-//! execution mode, and `sim_cost` is total work summed in chunk-index
-//! order — so the quantity this extractor predicts is independent of
-//! thread count and morsel size by construction (the estimator cannot
-//! drift from the parallel access-path choice the way it could if the
-//! parallel path re-decided access paths per morsel).
+//! Access paths are not derived here: every chunk's path comes from
+//! [`smdb_storage::scan::plan_chunk`], the rule the engine executes,
+//! called with the hypothetical configuration's index kinds — so the
+//! extractor predicts the pruning, probes and filters the engine would
+//! run under that configuration. Execution mode cannot matter: the
+//! engine plans each chunk with that rule in every mode, and `sim_cost`
+//! is total work summed in chunk-index order, so the predicted quantity
+//! is independent of thread count and morsel size.
 
-use smdb_common::{ChunkColumnRef, Result};
+use smdb_common::{ChunkColumnRef, ColumnId, Result};
 use smdb_query::Query;
+use smdb_storage::scan::{plan_chunk, ChunkPath};
 use smdb_storage::{
     ConfigAction, ConfigInstance, EncodingKind, ScanPredicate, StorageEngine, Tier,
 };
@@ -161,21 +163,6 @@ impl ConfigContext {
             nonhot_bytes: nonhot,
         })
     }
-
-    /// Estimated effective tier multiplier under `config` — mirrors the
-    /// engine's buffer-pool model structurally (raw tier penalties are
-    /// public hardware documentation; what the estimator does *not* know
-    /// are the per-operation millisecond coefficients, which the
-    /// calibrated model learns).
-    pub fn tier_multiplier(&self, tier: Tier, buffer_pool_mb: f64) -> f64 {
-        if tier == Tier::Hot || self.nonhot_bytes == 0 {
-            return 1.0;
-        }
-        let raw = tier.latency_multiplier();
-        let buffer = buffer_pool_mb.max(0.0) * 1024.0 * 1024.0;
-        let hit = (buffer / self.nonhot_bytes as f64).clamp(0.0, 1.0);
-        1.0 + (raw - 1.0) * (1.0 - hit)
-    }
 }
 
 /// Extracts the estimated execution profile of `query` under `config`.
@@ -192,149 +179,57 @@ pub fn extract_features(
     let preds = query.predicates();
 
     for (cid, chunk) in table.chunks() {
-        // Pruning mirror: skip chunks no predicate can match.
-        let mut pruned = false;
-        for p in preds {
-            if !chunk.stats(p.column)?.can_match(p) {
-                pruned = true;
-                break;
-            }
-        }
-        if pruned {
+        let target = |column| ChunkColumnRef {
+            table: query.table(),
+            column,
+            chunk: cid,
+        };
+        let Some(path) = plan_chunk(chunk, preds, |column| config.index_of(target(column)))? else {
             continue;
-        }
+        };
         f[fi::CHUNKS_VISITED] += 1.0;
-        let tier = config.tier_of(query.table(), cid);
-        let mult = ctx.tier_multiplier(tier, config.knobs.buffer_pool_mb);
+        let mult = config
+            .tier_of(query.table(), cid)
+            .effective_multiplier(config.knobs.buffer_pool_mb, ctx.nonhot_bytes);
         let rows = chunk.rows() as f64;
-
         let selectivity = |p: &ScanPredicate| -> Result<f64> {
             Ok(chunk.stats(p.column)?.estimate_selectivity(p))
         };
-
-        // Composite-index fast path mirror: a pair of equality
-        // predicates answered by one multi-attribute probe.
-        let composite = preds.iter().enumerate().find_map(|(i, p)| {
-            if !matches!(p.op, smdb_storage::PredicateOp::Eq) {
-                return None;
-            }
-            let target = ChunkColumnRef {
-                table: query.table(),
-                column: p.column,
-                chunk: cid,
-            };
-            let Some(smdb_storage::IndexKind::CompositeHash { second }) = config.index_of(target)
-            else {
-                return None;
-            };
-            preds
-                .iter()
-                .enumerate()
-                .find(|(j, q)| {
-                    *j != i && q.column == second && matches!(q.op, smdb_storage::PredicateOp::Eq)
-                })
-                .map(|(j, _)| (i, j))
-        });
-        let composite = match composite {
-            Some((i, j)) => {
-                // Access-path rule mirror on the combined selectivity.
-                let sel = selectivity(&preds[i])? * selectivity(&preds[j])?;
-                (sel <= smdb_storage::scan::INDEX_SELECTIVITY_THRESHOLD).then_some((i, j))
-            }
-            None => None,
-        };
-        if let Some((i, j)) = composite {
-            let sel_i = selectivity(&preds[i])?;
-            let sel_j = selectivity(&preds[j])?;
-            let mut est_count = rows * sel_i * sel_j;
-            f[fi::INDEX_PROBES] += mult;
-            f[fi::INDEX_MATCHES] += est_count * mult;
-            for (k, p) in preds.iter().enumerate() {
-                if k == i || k == j {
-                    continue;
-                }
-                f[fi::REFINE_ROWS] += est_count * mult;
-                est_count *= selectivity(p)?;
-            }
-            if query.aggregate().is_some() {
-                f[fi::AGG_ROWS] += est_count;
-                if query.group_by().is_some() {
-                    f[fi::GROUP_ROWS] += est_count;
-                }
-            }
-            continue;
-        }
-
-        let mut est_count: f64;
-        // Scan work units mirror the engine: rows for positional
+        // Scan work units as the engine counts them: rows for positional
         // encodings, measured runs for RLE.
-        let scan_units = |col: smdb_common::ColumnId, enc: EncodingKind| -> Result<f64> {
-            Ok(match enc {
-                EncodingKind::RunLength => chunk.stats(col)?.runs as f64,
+        let mut scan = |column: ColumnId| -> Result<()> {
+            let enc = config.encoding_of(target(column));
+            let units = match enc {
+                EncodingKind::RunLength => chunk.stats(column)?.runs as f64,
                 _ => rows,
-            })
+            };
+            f[scan_slot(enc)] += units * mult;
+            Ok(())
         };
-        if preds.is_empty() {
-            // Full-chunk selection over column 0's encoding.
-            let target = ChunkColumnRef {
-                table: query.table(),
-                column: smdb_common::ColumnId(0),
-                chunk: cid,
-            };
-            let enc = config.encoding_of(target);
-            f[scan_slot(enc)] += scan_units(smdb_common::ColumnId(0), enc)? * mult;
-            est_count = rows;
-        } else {
-            // Driving predicate: first with a config-supported index that
-            // passes the engine's access-path selectivity rule.
-            let drive_pos = preds
-                .iter()
-                .position(|p| {
-                    let target = ChunkColumnRef {
-                        table: query.table(),
-                        column: p.column,
-                        chunk: cid,
-                    };
-                    config.index_of(target).is_some_and(|kind| {
-                        !matches!(kind, smdb_storage::IndexKind::CompositeHash { .. })
-                            && kind.supports(p.op)
-                            && chunk
-                                .stats(p.column)
-                                .map(|s| {
-                                    s.estimate_selectivity(p)
-                                        <= smdb_storage::scan::INDEX_SELECTIVITY_THRESHOLD
-                                })
-                                .unwrap_or(false)
-                    })
-                })
-                .unwrap_or(0);
-            let driving = &preds[drive_pos];
-            let target = ChunkColumnRef {
-                table: query.table(),
-                column: driving.column,
-                chunk: cid,
-            };
-            let drive_sel = selectivity(driving)?;
-            let indexed = config.index_of(target).is_some_and(|kind| {
-                !matches!(kind, smdb_storage::IndexKind::CompositeHash { .. })
-                    && kind.supports(driving.op)
-                    && drive_sel <= smdb_storage::scan::INDEX_SELECTIVITY_THRESHOLD
-            });
-            est_count = rows * drive_sel;
-            if indexed {
-                f[fi::INDEX_PROBES] += mult;
-                f[fi::INDEX_MATCHES] += est_count * mult;
-            } else {
-                let enc = config.encoding_of(target);
-                f[scan_slot(enc)] += scan_units(driving.column, enc)? * mult;
-            }
-            for (i, p) in preds.iter().enumerate() {
-                if i == drive_pos {
-                    continue;
+
+        let mut est_count = match path {
+            ChunkPath::Probe { drive, pair } => {
+                let mut est = rows * selectivity(&preds[drive])?;
+                if let Some(second) = pair {
+                    est *= selectivity(&preds[second])?;
                 }
-                f[fi::REFINE_ROWS] += est_count * mult;
-                est_count *= selectivity(p)?;
+                f[fi::INDEX_PROBES] += mult;
+                f[fi::INDEX_MATCHES] += est * mult;
+                est
             }
+            // Full-chunk selection over column 0's encoding.
+            ChunkPath::Full => {
+                scan(ColumnId(0))?;
+                rows
+            }
+            ChunkPath::Filter { drive } => {
+                scan(preds[drive].column)?;
+                rows * selectivity(&preds[drive])?
+            }
+        };
+        for (_, p) in preds.iter().enumerate().filter(|&(i, _)| !path.drives(i)) {
+            f[fi::REFINE_ROWS] += est_count * mult;
+            est_count *= selectivity(p)?;
         }
         if query.aggregate().is_some() {
             f[fi::AGG_ROWS] += est_count;
@@ -482,6 +377,92 @@ mod tests {
         let f = extract_features(&engine, &ctx, &q, &config).unwrap();
         assert_eq!(f.0[fi::CHUNKS_VISITED], 1.0);
         assert_eq!(f.0[fi::SCAN_RAW], 250.0);
+    }
+
+    #[test]
+    fn broad_indexed_predicate_filters_like_the_engine() {
+        // k < 50 selects half of every chunk, far above the access-path
+        // threshold: its B-tree must not drive a probe, in the estimate
+        // or in execution.
+        let (mut engine, t) = setup();
+        for chunk in 0..4 {
+            engine
+                .apply_action(&ConfigAction::CreateIndex {
+                    target: ChunkColumnRef::new(t.0, 0, chunk),
+                    kind: IndexKind::BTree,
+                })
+                .unwrap();
+        }
+        let q = Query::new(
+            t,
+            "t",
+            vec![ScanPredicate::cmp(
+                ColumnId(0),
+                smdb_storage::PredicateOp::Lt,
+                50i64,
+            )],
+            None,
+            "broad",
+        );
+        let config = engine.current_config();
+        let ctx = ConfigContext::new(&engine, &config);
+        let f = extract_features(&engine, &ctx, &q, &config).unwrap();
+        let out = engine.scan(t, q.predicates(), None).unwrap();
+        assert_eq!(out.index_probes, 0);
+        assert_eq!(f.0[fi::INDEX_PROBES], 0.0);
+        assert_eq!(f.0[fi::SCAN_RAW], 1000.0);
+    }
+
+    #[test]
+    fn second_composite_pair_probes_when_the_first_is_broad() {
+        // Composite indexes on (a, b) and (c, d): the (a, b) pair selects
+        // 1/2 · 1/3 of a chunk, above the threshold, while (c, d) selects
+        // 1/10 · 1/7 — so the second pair drives one probe per chunk.
+        let schema = Schema::new(
+            ["a", "b", "c", "d"]
+                .into_iter()
+                .map(|n| ColumnDef::new(n, DataType::Int))
+                .collect(),
+        )
+        .unwrap();
+        let column = |m: i64| ColumnValues::Int((0..1000).map(|i| i % m).collect());
+        let table = Table::from_columns(
+            "t",
+            schema,
+            vec![column(2), column(3), column(10), column(7)],
+            250,
+        )
+        .unwrap();
+        let mut engine = StorageEngine::default();
+        let t = engine.create_table(table).unwrap();
+        for chunk in 0..4 {
+            for (lead, second) in [(0, 1), (2, 3)] {
+                engine
+                    .apply_action(&ConfigAction::CreateIndex {
+                        target: ChunkColumnRef::new(t.0, lead, chunk),
+                        kind: IndexKind::CompositeHash {
+                            second: ColumnId(second),
+                        },
+                    })
+                    .unwrap();
+            }
+        }
+        let q = Query::new(
+            t,
+            "t",
+            (0..4)
+                .map(|c| ScanPredicate::eq(ColumnId(c), 1i64))
+                .collect(),
+            None,
+            "two_pairs",
+        );
+        let config = engine.current_config();
+        let ctx = ConfigContext::new(&engine, &config);
+        let f = extract_features(&engine, &ctx, &q, &config).unwrap();
+        let out = engine.scan(t, q.predicates(), None).unwrap();
+        assert_eq!(out.index_probes, 4);
+        assert_eq!(f.0[fi::INDEX_PROBES], 4.0);
+        assert_eq!(f.0[fi::SCAN_RAW], 0.0);
     }
 
     #[test]

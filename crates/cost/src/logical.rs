@@ -9,6 +9,7 @@
 
 use smdb_common::{ChunkColumnRef, Cost, Result};
 use smdb_query::Query;
+use smdb_storage::scan::plan_chunk;
 use smdb_storage::{ConfigInstance, StorageEngine};
 
 use crate::estimator::CostEstimator;
@@ -54,14 +55,9 @@ impl CostEstimator for LogicalCostModel {
         let preds = query.predicates();
         let mut total = 0.0f64;
         for (cid, chunk) in table.chunks() {
-            let mut pruned = false;
-            for p in preds {
-                if !chunk.stats(p.column)?.can_match(p) {
-                    pruned = true;
-                    break;
-                }
-            }
-            if pruned {
+            // Pruning is the engine's; the path below is deliberately the
+            // textbook one, so no index kind is asked for.
+            if plan_chunk(chunk, preds, |_| None)?.is_none() {
                 continue;
             }
             let rows = chunk.rows() as f64;

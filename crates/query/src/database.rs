@@ -8,7 +8,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -23,9 +22,6 @@ use crate::query::Query;
 pub struct QueryRunResult {
     /// Engine output including the ground-truth simulated cost.
     pub output: ScanOutput,
-    /// Real wall-clock nanoseconds spent in the engine (used by the
-    /// overhead experiment, not by the tuners).
-    pub wall_ns: u64,
 }
 
 /// Cumulative scan-dispatch counters for one database.
@@ -211,7 +207,6 @@ impl Database {
     /// Executes a query: scans the engine and, when monitoring is on,
     /// records the execution in the plan cache.
     pub fn run_query(&self, query: &Query) -> Result<QueryRunResult> {
-        let start = Instant::now();
         let pool = self.scan_pool.read().clone();
         let output = {
             let engine = self.engine.read();
@@ -233,9 +228,8 @@ impl Database {
             }
         };
         self.note_scan_output(&output);
-        let wall_ns = start.elapsed().as_nanos() as u64;
         self.record_execution(query, output.sim_cost);
-        Ok(QueryRunResult { output, wall_ns })
+        Ok(QueryRunResult { output })
     }
 
     /// Folds one finished scan's output into the dispatch counters.

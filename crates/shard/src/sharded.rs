@@ -21,7 +21,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use smdb_common::{ColumnId, Error, Result, TableId};
 use smdb_query::{Database, Query, QueryRunResult};
@@ -170,7 +169,6 @@ impl ShardedDatabase {
     }
 
     fn scatter_gather(&self, query: &Query) -> Result<QueryRunResult> {
-        let start = Instant::now();
         let candidates = self.scatter_candidates(query);
         // Fan out: per-shard partial scans, each partial tagged with its
         // global chunk index so the gather can replay the unsharded
@@ -212,10 +210,7 @@ impl ShardedDatabase {
             query.aggregate(),
             query.group_by(),
         );
-        Ok(QueryRunResult {
-            output,
-            wall_ns: start.elapsed().as_nanos() as u64,
-        })
+        Ok(QueryRunResult { output })
     }
 }
 

@@ -9,7 +9,7 @@ use crate::config::{ConfigAction, ConfigInstance, Knobs};
 use crate::index::ChunkIndex;
 use crate::memory::MemoryReport;
 use crate::placement::Tier;
-use crate::scan::{Aggregate, AggregateOp, ScanPredicate};
+use crate::scan::{plan_chunk, Aggregate, AggregateOp, ChunkPath, ScanPredicate};
 use crate::simcost::SimCostParams;
 use crate::table::Table;
 use crate::value::Value;
@@ -93,7 +93,7 @@ pub struct StorageEngine {
     /// (on by default; the scalar path remains the semantic reference).
     kernels: bool,
     /// Cached bytes resident on non-hot tiers (drives buffer-pool hit rates).
-    nonhot_bytes: usize,
+    nonhot_bytes: u64,
     /// Process-unique catalog identity, refreshed whenever the table set
     /// changes. Cost caches key on it so entries from one engine are
     /// never served for another; clones share the token because their
@@ -162,7 +162,7 @@ impl StorageEngine {
         let table = self.table(table)?;
         let mut out = PredictedPaths::default();
         for (_, chunk) in table.chunks() {
-            match plan_chunk(chunk, predicates)? {
+            match plan_chunk(chunk, predicates, |c| chunk.index(c).map(ChunkIndex::kind))? {
                 None => out.pruned += 1,
                 Some(ChunkPath::Probe { .. }) => out.index += 1,
                 // Full-chunk selection: one batch emit when kernels are on.
@@ -539,29 +539,9 @@ impl StorageEngine {
         group_by: Option<smdb_common::ColumnId>,
         parallel: Option<(&crate::parallel::ScanPool, usize)>,
     ) -> Result<Vec<ChunkPartial>> {
-        self.validate_scan(table_id, predicates, aggregate, group_by)?;
-        let table = self.table(table_id)?;
-        let chunks: Vec<&crate::chunk::Chunk> = table.chunks().map(|(_, c)| c).collect();
-        if let Some((pool, morsel_chunks)) = parallel {
-            let ranges = crate::parallel::morsel_ranges(chunks.len(), morsel_chunks);
-            if pool.threads() > 1 && ranges.len() > 1 {
-                let (partials, _) = self
-                    .partials_parallel(&chunks, predicates, aggregate, group_by, pool, &ranges)?;
-                return Ok(partials);
-            }
-        }
-        let mut positions: Vec<u32> = Vec::new();
-        let mut partials = Vec::with_capacity(chunks.len());
-        for chunk in &chunks {
-            partials.push(self.scan_chunk(
-                chunk,
-                predicates,
-                aggregate,
-                group_by,
-                &mut positions,
-            )?);
-        }
-        Ok(partials)
+        Ok(self
+            .chunk_partials(table_id, predicates, aggregate, group_by, parallel)?
+            .0)
     }
 
     /// Folds partials — the caller's responsibility to order by global
@@ -582,7 +562,9 @@ impl StorageEngine {
         out
     }
 
-    /// Validates the query, picks the execution mode and dispatches.
+    /// Runs a scan and merges its partials. Latency equals work for an
+    /// inline scan; a morsel-parallel one charges the lane model of
+    /// [`crate::parallel::simulated_latency`] over its morsel costs.
     fn scan_grouped_with(
         &self,
         table_id: TableId,
@@ -591,33 +573,48 @@ impl StorageEngine {
         group_by: Option<smdb_common::ColumnId>,
         parallel: Option<(&crate::parallel::ScanPool, usize)>,
     ) -> Result<ScanOutput> {
+        let (partials, morsels) =
+            self.chunk_partials(table_id, predicates, aggregate, group_by, parallel)?;
+        let Some((costs_ms, lanes)) = morsels else {
+            return Ok(self.merge_scan_partials(partials, aggregate, group_by));
+        };
+        let mut out = self.merge_partials(partials, aggregate, group_by);
+        out.sim_latency =
+            crate::parallel::simulated_latency(&costs_ms, lanes, self.params.morsel_dispatch_ms);
+        out.morsels = costs_ms.len() as u64;
+        Ok(out)
+    }
+
+    /// Validates the scan, picks the execution mode and computes every
+    /// chunk's partial in chunk-index order. Morsels go to the pool
+    /// only when it has helpers and the table splits into more than one
+    /// morsel — otherwise there is no parallelism to exploit, so the
+    /// chunks run inline and skip the dispatch overhead. Alongside the
+    /// partials come each morsel's summed cost and the lane count when
+    /// the scan ran parallel (`None` inline). The merge tree, and so
+    /// every float in the result, does not depend on the mode.
+    fn chunk_partials(
+        &self,
+        table_id: TableId,
+        predicates: &[ScanPredicate],
+        aggregate: Option<&Aggregate>,
+        group_by: Option<smdb_common::ColumnId>,
+        parallel: Option<(&crate::parallel::ScanPool, usize)>,
+    ) -> Result<(Vec<ChunkPartial>, Option<(Vec<f64>, usize)>)> {
         self.validate_scan(table_id, predicates, aggregate, group_by)?;
         let table = self.table(table_id)?;
         let chunks: Vec<&crate::chunk::Chunk> = table.chunks().map(|(_, c)| c).collect();
         if let Some((pool, morsel_chunks)) = parallel {
             let ranges = crate::parallel::morsel_ranges(chunks.len(), morsel_chunks);
-            // A single morsel (or a helper-less pool) has no parallelism
-            // to exploit — run inline and skip the dispatch overhead.
             if pool.threads() > 1 && ranges.len() > 1 {
-                return self
-                    .scan_chunks_parallel(&chunks, predicates, aggregate, group_by, pool, &ranges);
+                let (partials, costs) = self
+                    .partials_parallel(&chunks, predicates, aggregate, group_by, pool, &ranges)?;
+                return Ok((partials, Some((costs, pool.threads().min(ranges.len())))));
             }
         }
-        self.scan_chunks_sequential(&chunks, predicates, aggregate, group_by)
-    }
-
-    /// Inline execution: per-chunk partials computed on this thread,
-    /// merged in chunk order. Latency equals work.
-    fn scan_chunks_sequential(
-        &self,
-        chunks: &[&crate::chunk::Chunk],
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-    ) -> Result<ScanOutput> {
         let mut positions: Vec<u32> = Vec::new();
         let mut partials = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
+        for chunk in &chunks {
             partials.push(self.scan_chunk(
                 chunk,
                 predicates,
@@ -626,37 +623,7 @@ impl StorageEngine {
                 &mut positions,
             )?);
         }
-        let mut out = self.merge_partials(partials, aggregate, group_by);
-        out.sim_latency = out.sim_cost;
-        out.morsels = 0;
-        Ok(out)
-    }
-
-    /// Morsel-parallel execution: contiguous chunk ranges are dispatched
-    /// to the scan pool, each producing its chunks' partials; the
-    /// submitting thread merges them in chunk-index order, so the merge
-    /// tree — and therefore every float in the result — is identical to
-    /// the sequential path's.
-    fn scan_chunks_parallel(
-        &self,
-        chunks: &[&crate::chunk::Chunk],
-        predicates: &[ScanPredicate],
-        aggregate: Option<&Aggregate>,
-        group_by: Option<smdb_common::ColumnId>,
-        pool: &crate::parallel::ScanPool,
-        ranges: &[(usize, usize)],
-    ) -> Result<ScanOutput> {
-        let (all, morsel_costs_ms) =
-            self.partials_parallel(chunks, predicates, aggregate, group_by, pool, ranges)?;
-        let mut out = self.merge_partials(all, aggregate, group_by);
-        let lanes = pool.threads().min(ranges.len());
-        out.sim_latency = crate::parallel::simulated_latency(
-            &morsel_costs_ms,
-            lanes,
-            self.params.morsel_dispatch_ms,
-        );
-        out.morsels = ranges.len() as u64;
-        Ok(out)
+        Ok((partials, None))
     }
 
     /// The dispatch half of a morsel-parallel scan: runs every morsel on
@@ -725,22 +692,24 @@ impl StorageEngine {
         positions: &mut Vec<u32>,
     ) -> Result<ChunkPartial> {
         let mut part = ChunkPartial::new(aggregate.map(|a| a.op));
-        let Some(path) = plan_chunk(chunk, predicates)? else {
+        let Some(path) = plan_chunk(chunk, predicates, |c| chunk.index(c).map(ChunkIndex::kind))?
+        else {
             part.pruned = true;
             part.cost += Cost(self.params.prune_check_ms);
             return Ok(part);
         };
-        let tier_mult = self.params.effective_tier_multiplier(
-            chunk.tier(),
-            self.knobs.buffer_pool_mb,
-            self.nonhot_bytes,
-        );
+        let tier_mult = chunk
+            .tier()
+            .effective_multiplier(self.knobs.buffer_pool_mb, self.nonhot_bytes);
         part.cost += Cost(self.params.chunk_visit_ms);
         positions.clear();
 
         // The driving selection.
         match path {
-            ChunkPath::Probe { drive, pair, index } => {
+            ChunkPath::Probe { drive, pair } => {
+                let index = chunk
+                    .index(predicates[drive].column)
+                    .ok_or_else(|| Error::invalid("a planned probe has no index"))?;
                 let answered = match pair {
                     Some(second) => index.probe_composite(
                         &predicates[drive].value,
@@ -996,11 +965,8 @@ impl StorageEngine {
     fn chunk_tier_multiplier(&self, table: TableId, chunk: u32) -> Result<f64> {
         let t = self.table(table)?;
         let c = t.chunk(smdb_common::ChunkId(chunk))?;
-        Ok(self.params.effective_tier_multiplier(
-            c.tier(),
-            self.knobs.buffer_pool_mb,
-            self.nonhot_bytes,
-        ))
+        Ok(c.tier()
+            .effective_multiplier(self.knobs.buffer_pool_mb, self.nonhot_bytes))
     }
 
     fn recompute_residency(&mut self) {
@@ -1009,131 +975,9 @@ impl StorageEngine {
             .iter()
             .flat_map(|t| t.chunks())
             .filter(|(_, c)| c.tier() != Tier::Hot)
-            .map(|(_, c)| c.data_bytes())
+            .map(|(_, c)| c.data_bytes() as u64)
             .sum();
     }
-}
-
-/// The access path a visited chunk takes for a predicate list. Indices
-/// point into the predicate slice; every predicate the path does not
-/// drive refines the selection afterwards, in predicate order.
-enum ChunkPath<'c> {
-    /// `index` answers predicate `drive` — together with predicate
-    /// `pair` when it is a composite index.
-    Probe {
-        drive: usize,
-        pair: Option<usize>,
-        index: &'c ChunkIndex,
-    },
-    /// No predicates: every row is selected.
-    Full,
-    /// Predicate `drive` filters its segment (batch kernel or scalar —
-    /// the kernel layer decides).
-    Filter { drive: usize },
-}
-
-impl ChunkPath<'_> {
-    /// Whether predicate `i` is consumed by the driving selection.
-    fn drives(&self, i: usize) -> bool {
-        match *self {
-            ChunkPath::Probe { drive, pair, .. } => i == drive || pair == Some(i),
-            ChunkPath::Full => false,
-            ChunkPath::Filter { drive } => i == drive,
-        }
-    }
-}
-
-/// Derives `chunk`'s access path for `predicates` — the one place the
-/// engine decides it, for execution and prediction alike. Stages, first
-/// match wins: min/max pruning (`None`), a composite equality pair, the
-/// full chunk when nothing is filtered, then the driving predicate — the
-/// first one a single-column index answers below the selectivity
-/// threshold (predicate 0 when none does), probed when its index
-/// supports the operator and filtered otherwise.
-fn plan_chunk<'c>(
-    chunk: &'c crate::chunk::Chunk,
-    predicates: &[ScanPredicate],
-) -> Result<Option<ChunkPath<'c>>> {
-    for p in predicates {
-        if !chunk.stats(p.column)?.can_match(p) {
-            return Ok(None);
-        }
-    }
-    if let Some((drive, second, index)) = composite_pair(chunk, predicates) {
-        return Ok(Some(ChunkPath::Probe {
-            drive,
-            pair: Some(second),
-            index,
-        }));
-    }
-    if predicates.is_empty() {
-        return Ok(Some(ChunkPath::Full));
-    }
-    // Composite indexes cannot drive a lone predicate (their fast path
-    // ran above when both were present).
-    let probe_index = |p: &ScanPredicate| {
-        chunk.index(p.column).filter(|idx| {
-            !matches!(idx.kind(), crate::index::IndexKind::CompositeHash { .. })
-                && idx.kind().supports(p.op)
-        })
-    };
-    // Prefer a driving predicate an index answers; broad predicates scan
-    // (access-path rule).
-    let drive = predicates
-        .iter()
-        .position(|p| {
-            probe_index(p).is_some()
-                && chunk
-                    .stats(p.column)
-                    .map(|s| s.estimate_selectivity(p) <= crate::scan::INDEX_SELECTIVITY_THRESHOLD)
-                    .unwrap_or(false)
-        })
-        .unwrap_or(0);
-    Ok(Some(match probe_index(&predicates[drive]) {
-        Some(index) => ChunkPath::Probe {
-            drive,
-            pair: None,
-            index,
-        },
-        None => ChunkPath::Filter { drive },
-    }))
-}
-
-/// Finds a pair of equality predicates `(i, j)` answered by a composite
-/// index on predicate `i`'s column with second column equal to predicate
-/// `j`'s column, together with that index.
-fn composite_pair<'c>(
-    chunk: &'c crate::chunk::Chunk,
-    predicates: &[ScanPredicate],
-) -> Option<(usize, usize, &'c ChunkIndex)> {
-    for (i, p) in predicates.iter().enumerate() {
-        if !matches!(p.op, crate::scan::PredicateOp::Eq) {
-            continue;
-        }
-        let Some(idx) = chunk.index(p.column) else {
-            continue;
-        };
-        let crate::index::IndexKind::CompositeHash { second } = idx.kind() else {
-            continue;
-        };
-        for (j, q) in predicates.iter().enumerate() {
-            if i != j && q.column == second && matches!(q.op, crate::scan::PredicateOp::Eq) {
-                // Access-path rule on the combined selectivity.
-                let sel = chunk
-                    .stats(p.column)
-                    .map(|s| s.estimate_selectivity(p))
-                    .unwrap_or(1.0)
-                    * chunk
-                        .stats(q.column)
-                        .map(|s| s.estimate_selectivity(q))
-                        .unwrap_or(1.0);
-                if sel <= crate::scan::INDEX_SELECTIVITY_THRESHOLD {
-                    return Some((i, j, idx));
-                }
-            }
-        }
-    }
-    None
 }
 
 /// One chunk's contribution to a scan. Partials are produced by

@@ -34,6 +34,26 @@ impl Tier {
         }
     }
 
+    /// The multiplier actually paid on this tier, after the buffer pool
+    /// hides the hit fraction of non-hot accesses.
+    ///
+    /// `nonhot_bytes` is the total footprint placed on non-hot tiers;
+    /// the buffer pool caches up to its capacity of that footprint, so
+    /// the *miss* fraction pays the raw tier penalty. This coupling is
+    /// what makes the buffer-pool knob and the placement feature
+    /// mutually dependent. The engine charges it and cost estimators
+    /// predict it under a hypothetical configuration; raw tier penalties
+    /// are public hardware documentation, the per-operation millisecond
+    /// coefficients are what a calibrated model has to learn.
+    pub fn effective_multiplier(self, buffer_pool_mb: f64, nonhot_bytes: u64) -> f64 {
+        if self == Tier::Hot || nonhot_bytes == 0 {
+            return 1.0;
+        }
+        let buffer_bytes = buffer_pool_mb.max(0.0) * 1024.0 * 1024.0;
+        let hit = (buffer_bytes / nonhot_bytes as f64).clamp(0.0, 1.0);
+        1.0 + (self.latency_multiplier() - 1.0) * (1.0 - hit)
+    }
+
     /// Short label for tables and logs.
     pub fn label(self) -> &'static str {
         match self {
@@ -59,6 +79,29 @@ mod tests {
         assert!(Tier::Hot.latency_multiplier() < Tier::Warm.latency_multiplier());
         assert!(Tier::Warm.latency_multiplier() < Tier::Cold.latency_multiplier());
         assert_eq!(Tier::Hot.latency_multiplier(), 1.0);
+    }
+
+    #[test]
+    fn hot_tier_never_penalised() {
+        assert_eq!(Tier::Hot.effective_multiplier(0.0, 1 << 30), 1.0);
+    }
+
+    #[test]
+    fn buffer_pool_hides_penalty() {
+        let nonhot = 100 * 1024 * 1024; // 100 MB placed cold
+        let none = Tier::Cold.effective_multiplier(0.0, nonhot);
+        let half = Tier::Cold.effective_multiplier(50.0, nonhot);
+        let full = Tier::Cold.effective_multiplier(100.0, nonhot);
+        let over = Tier::Cold.effective_multiplier(1000.0, nonhot);
+        assert_eq!(none, Tier::Cold.latency_multiplier());
+        assert!(half < none && half > 1.0);
+        assert_eq!(full, 1.0);
+        assert_eq!(over, 1.0);
+    }
+
+    #[test]
+    fn empty_nonhot_means_no_penalty() {
+        assert_eq!(Tier::Warm.effective_multiplier(0.0, 0), 1.0);
     }
 
     #[test]

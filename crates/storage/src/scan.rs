@@ -5,16 +5,18 @@
 //! engine evaluates them per chunk with encoding- and index-specific
 //! paths.
 
-use smdb_common::ColumnId;
+use smdb_common::{ColumnId, Result};
 
+use crate::chunk::Chunk;
+use crate::index::IndexKind;
 use crate::value::Value;
 
 /// Access-path rule: an index drives a scan only when the predicate's
 /// estimated selectivity is at or below this threshold; broader
 /// predicates scan (probing produces so many matches that per-match
-/// costs exceed the sequential scan). The rule is deliberately public
-/// and statistic-based so cost estimators can mirror the engine's
-/// access-path choice exactly.
+/// costs exceed the sequential scan). The rule is statistic-based and
+/// applied only by [`plan_chunk`], which cost estimators call to
+/// predict the engine's access-path choice exactly.
 pub const INDEX_SELECTIVITY_THRESHOLD: f64 = 0.1;
 
 /// Comparison operator of a scan predicate.
@@ -144,6 +146,94 @@ impl Aggregate {
             column: ColumnId(0),
         }
     }
+}
+
+/// The access path a visited chunk takes for a predicate list. Indices
+/// point into the predicate slice; every predicate the path does not
+/// drive refines the selection afterwards, in predicate order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkPath {
+    /// The index on predicate `drive`'s column answers it — together
+    /// with predicate `pair` when that index is composite.
+    Probe { drive: usize, pair: Option<usize> },
+    /// No predicates: every row is selected.
+    Full,
+    /// Predicate `drive` filters its segment (batch kernel or scalar —
+    /// the kernel layer decides).
+    Filter { drive: usize },
+}
+
+impl ChunkPath {
+    /// Whether predicate `i` is consumed by the driving selection.
+    pub fn drives(&self, i: usize) -> bool {
+        match *self {
+            ChunkPath::Probe { drive, pair } => i == drive || pair == Some(i),
+            ChunkPath::Full => false,
+            ChunkPath::Filter { drive } => i == drive,
+        }
+    }
+}
+
+/// Derives `chunk`'s access path for `predicates` when each column's
+/// index kind is `index_of(column)` — the one access-path rule: the
+/// engine calls it with the chunk's built indexes to execute and predict
+/// scans, cost estimators with a hypothetical configuration's. Stages,
+/// first match wins: min/max pruning (`None`), a composite equality pair
+/// whose combined selectivity passes [`INDEX_SELECTIVITY_THRESHOLD`], the
+/// full chunk when nothing is filtered, then the first predicate a
+/// single-column index supports at or below the threshold drives a
+/// probe; when none does, predicate 0 filters.
+pub fn plan_chunk(
+    chunk: &Chunk,
+    predicates: &[ScanPredicate],
+    index_of: impl Fn(ColumnId) -> Option<IndexKind>,
+) -> Result<Option<ChunkPath>> {
+    for p in predicates {
+        if !chunk.stats(p.column)?.can_match(p) {
+            return Ok(None);
+        }
+    }
+    // The pruning pass above proved every predicate column has stats.
+    let selective = |sel: f64| sel <= INDEX_SELECTIVITY_THRESHOLD;
+    let selectivity = |p: &ScanPredicate| {
+        chunk
+            .stats(p.column)
+            .map_or(1.0, |s| s.estimate_selectivity(p))
+    };
+    for (i, p) in predicates.iter().enumerate() {
+        if p.op != PredicateOp::Eq {
+            continue;
+        }
+        let Some(IndexKind::CompositeHash { second }) = index_of(p.column) else {
+            continue;
+        };
+        let pair = predicates.iter().enumerate().find(|&(j, q)| {
+            i != j
+                && q.column == second
+                && q.op == PredicateOp::Eq
+                && selective(selectivity(p) * selectivity(q))
+        });
+        if let Some((j, _)) = pair {
+            return Ok(Some(ChunkPath::Probe {
+                drive: i,
+                pair: Some(j),
+            }));
+        }
+    }
+    if predicates.is_empty() {
+        return Ok(Some(ChunkPath::Full));
+    }
+    // Composite indexes cannot drive a lone predicate (their pair ran
+    // above when both were present).
+    let probes = |p: &ScanPredicate| {
+        index_of(p.column).is_some_and(|kind| {
+            !matches!(kind, IndexKind::CompositeHash { .. }) && kind.supports(p.op)
+        }) && selective(selectivity(p))
+    };
+    Ok(Some(match predicates.iter().position(probes) {
+        Some(drive) => ChunkPath::Probe { drive, pair: None },
+        None => ChunkPath::Filter { drive: 0 },
+    }))
 }
 
 #[cfg(test)]
